@@ -25,8 +25,8 @@ Grouped by layer:
   ``CampaignConfig(tier="source")`` routing);
 * **srcfi** — the source-level injection tier: ODC-typed mutation
   operators, the :class:`SourceLocator` site enumerator, mutant
-  realization (:func:`realize_source_fault`), and the source campaign
-  executor;
+  realization (:func:`realize_source_fault`), and the per-fault run unit
+  (:func:`run_source_fault`) that every source-tier campaign executes;
 * **emulation** — :class:`FaultLocator` and the §6.3
   :func:`generate_error_set` rules;
 * **experiments** — :class:`ExperimentConfig` and the per-table/figure
@@ -129,7 +129,7 @@ from .srcfi import (
     get_operator,
     operators_for_class,
     realize_source_fault,
-    run_source_campaign,
+    run_source_fault,
 )
 from .swifi import (
     ENGINE_BLOCK,
@@ -159,13 +159,11 @@ from .swifi import (
     DataAccess,
     DebugResourceError,
     FailureMode,
-    FaultSpec,
     FetchedWord,
     InjectionSession,
     InjectionSpec,
     InputCase,
     MachineFault,
-    LegacyCampaignAPIWarning,
     LoadValue,
     MemoryWord,
     OpcodeFetch,
@@ -199,7 +197,6 @@ from .service import (
 from .verify import (
     DifferentialOracle,
     Divergence,
-    FaultDescriptor,
     FuzzConfig,
     FuzzReport,
     MachineFaultRecipe,
@@ -231,7 +228,6 @@ __all__ = [
     "TIER_SOURCE",
     "TIERS",
     # swifi fault model (What / Where / Which / When)
-    "FaultSpec",
     "Action",
     "WhenPolicy",
     "OpcodeFetch",
@@ -263,7 +259,6 @@ __all__ = [
     "CampaignError",
     "InputCase",
     "RunRecord",
-    "LegacyCampaignAPIWarning",
     "RESULT_SCHEMA_VERSION",
     "ENGINE_BLOCK",
     "ENGINE_SIMPLE",
@@ -294,7 +289,7 @@ __all__ = [
     "get_operator",
     "operators_for_class",
     "realize_source_fault",
-    "run_source_campaign",
+    "run_source_fault",
     # workloads
     "get_workload",
     "table2_workloads",
@@ -368,7 +363,6 @@ __all__ = [
     "DifferentialOracle",
     "Divergence",
     "MatrixConfig",
-    "FaultDescriptor",
     "MachineFaultRecipe",
     "generate_program",
     "sample_descriptors",

@@ -194,7 +194,7 @@ def _reject_source_tier_flags(args) -> int | None:
     The source tier reboots a fresh mutant binary per run, so the snapshot
     fast path and the planner have nothing to attach to — reject the
     combination here with a one-line diagnostic instead of surfacing the
-    deep ``run_source_campaign`` rejection as a traceback.
+    deep source-tier config rejection as a traceback.
     """
     if getattr(args, "tier", "machine") != "source":
         return None
@@ -857,8 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
     srcfi_campaign.add_argument("--resume", action="store_true",
                                 help="skip runs journaled in --journal-dir")
     srcfi_campaign.add_argument("--trace", action="store_true",
-                                help="machine tier: record per-run span traces "
-                                     "(accepted no-op at the source tier)")
+                                help="record per-run span traces in the journal "
+                                     "(read them with `repro trace report`)")
     srcfi_campaign.add_argument("--engine", choices=("simple", "block", "trace"),
                                 default="simple",
                                 help="machine execution engine")

@@ -36,7 +36,7 @@ from ..analysis.tables import render_table
 from ..emulation.realfaults import NotEmulableError
 from ..machine.debug import DebugResourceError
 from ..machine.loader import boot
-from ..persist import atomic_write_json
+from ..persist import atomic_write_json, trim_partial_tail
 from ..srcfi import (
     MUTATION_CLASSES,
     MutantCache,
@@ -427,6 +427,9 @@ def run_srcfi_compare(
     journal = None
     try:
         if journal_path is not None:
+            # A kill mid-append leaves a torn last line; appending after it
+            # would fuse the next pair onto the fragment.
+            trim_partial_tail(journal_path)
             journal = open(journal_path, "a", encoding="utf-8")
 
         def consume(item: tuple, outcomes: list[PairOutcome]) -> None:

@@ -5,6 +5,9 @@ This is the host-side "experiment management software" scaled out: the
 in a fresh worker process (:mod:`.worker`), every completed run is
 journaled (:mod:`.journal`) the moment its message arrives, and the
 telemetry aggregator (:mod:`.telemetry`) keeps live rates and tallies.
+Every campaign of either injection tier runs through here; with
+``jobs=1`` the whole matrix is one shard executed in-process by the same
+run loop (:func:`.worker.execute_shard_runs`) the workers use.
 
 Supervision contract:
 
@@ -27,11 +30,15 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Callable
 
-from ..observability import trace as _trace
-from ..swifi.campaign import CampaignResult, InputCase, RunRecord, execute_injection_run
-from ..swifi.faults import MachineFault
+from ..lang.compiler import CompiledProgram
+from ..swifi.campaign import CampaignResult, InputCase, RunRecord
+
+# Runs execute in .worker, but perfbench/ wraps execute_injection_run by
+# module attribute here too, so the name stays importable from this module.
+from ..swifi.campaign import execute_injection_run  # noqa: F401
+from ..swifi.spec import InjectionSpec
 from .journal import CampaignJournal, JournalState, campaign_fingerprint
-from .scheduler import Shard, pair_for_index, plan_shards
+from .scheduler import Shard, plan_shards
 from .telemetry import (
     NullSink,
     TelemetryAggregator,
@@ -44,6 +51,7 @@ from .worker import (
     MSG_RUN,
     ShardTask,
     build_shard_task,
+    execute_shard_runs,
     shard_worker_main,
 )
 
@@ -133,7 +141,7 @@ class CampaignOrchestrator:
         program: str,
         executable,
         cases: list[InputCase],
-        faults: list[MachineFault],
+        faults: list[InjectionSpec],
         budgets: dict[str, int],
         num_cores: int = 1,
         quantum: int = 64,
@@ -141,6 +149,7 @@ class CampaignOrchestrator:
         telemetry: TelemetrySink | None = None,
         progress: Callable[[int, int], None] | None = None,
         label: str | None = None,
+        mutation_base: CompiledProgram | None = None,
     ) -> None:
         if not cases:
             raise ValueError("a campaign needs at least one input case")
@@ -155,18 +164,20 @@ class CampaignOrchestrator:
         self.telemetry = telemetry or NullSink()
         self.progress = progress
         self.label = label or program
+        self.mutation_base = mutation_base  # source tier: the program to mutate
         self.total_runs = len(self.faults) * len(self.cases)
 
     @classmethod
     def from_runner(
         cls,
         runner: "CampaignRunner",
-        faults: list[MachineFault],
+        faults: list[InjectionSpec],
         *,
         options: OrchestratorOptions | None = None,
         telemetry: TelemetrySink | None = None,
         progress: Callable[[int, int], None] | None = None,
         label: str | None = None,
+        mutation_base: CompiledProgram | None = None,
     ) -> "CampaignOrchestrator":
         """Build an orchestrator from a calibrated :class:`CampaignRunner`."""
         runner.calibrate()
@@ -182,13 +193,10 @@ class CampaignOrchestrator:
             telemetry=telemetry,
             progress=progress,
             label=label,
+            mutation_base=mutation_base,
         )
 
     # ------------------------------------------------------------------
-
-    def _pair(self, run_index: int) -> tuple[MachineFault, InputCase]:
-        fault_index, case_index = pair_for_index(run_index, len(self.cases))
-        return self.faults[fault_index], self.cases[case_index]
 
     def _fingerprint(self) -> dict:
         return campaign_fingerprint(
@@ -230,11 +238,6 @@ class CampaignOrchestrator:
         self._notify_progress(len(completed))
 
         failed: dict[int, str] = {}
-        previous_tracing = False
-        if self.options.trace:
-            # Inline runs execute in this process; pool workers enable the
-            # flag themselves from ShardTask.trace.
-            previous_tracing = _trace.set_tracing(True)
         try:
             if self.options.jobs <= 1:
                 self._run_inline(pending, completed, journal, aggregator)
@@ -250,8 +253,6 @@ class CampaignOrchestrator:
                 )
                 journal.append_plan(plan.to_dict())
         finally:
-            if self.options.trace:
-                _trace.set_tracing(previous_tracing)
             if journal is not None:
                 journal.close()
 
@@ -269,38 +270,59 @@ class CampaignOrchestrator:
             executed_runs=aggregator.executed,
         )
 
-    def _snapshot_cache(self):
-        """One golden-run snapshot cache for this process, or ``None``."""
-        if self.options.snapshot == "off":
-            return None
-        from ..swifi.snapshot import SnapshotCache
+    def _accept(
+        self,
+        index: int,
+        record: RunRecord,
+        trace_payload: dict | None,
+        completed: dict[int, RunRecord],
+        journal: CampaignJournal | None,
+        aggregator: TelemetryAggregator,
+    ) -> None:
+        """Journal, aggregate and report one completed run."""
+        completed[index] = record
+        if journal is not None:
+            journal.append_record(index, record)
+            if trace_payload is not None:
+                journal.append_trace(index, trace_payload)
+        aggregator.record_run(record, trace=trace_payload)
+        self.telemetry.update(aggregator.snapshot())
+        self._notify_progress(len(completed))
+        if (
+            self.options.interrupt_after is not None
+            and aggregator.executed >= self.options.interrupt_after
+        ):
+            raise CampaignInterrupted(
+                f"campaign stopped after {aggregator.executed} runs "
+                "(interrupt_after)",
+                len(completed),
+                self.total_runs,
+            )
 
-        return SnapshotCache(
-            self.executable,
-            self.faults,
+    def _task(
+        self, shard_id: int, attempt: int, indices: list[int], seed: int, **drills
+    ) -> ShardTask:
+        return build_shard_task(
+            shard_id=shard_id,
+            attempt=attempt,
+            indices=indices,
+            program=self.program,
+            executable=self.executable,
+            faults=self.faults,
+            cases=self.cases,
+            budgets=self.budgets,
             num_cores=self.num_cores,
             quantum=self.quantum,
-            policy=self.options.snapshot,
-            engine=self.options.engine,
-        )
-
-    def _planner_cache(self):
-        """One campaign planner for this process, or ``None``."""
-        if not self.options.prune and not self.options.memoize:
-            return None
-        from ..planning import PlannerCache
-
-        return PlannerCache(
-            self.executable,
-            self.faults,
-            num_cores=self.num_cores,
-            quantum=self.quantum,
+            seed=seed,
+            snapshot=self.options.snapshot,
+            trace=self.options.trace,
             engine=self.options.engine,
             prune=self.options.prune,
             memoize=self.options.memoize,
             memo_dir=self.options.memo_dir,
-            verify_fraction=self.options.plan_verify,
-            seed=self.options.seed,
+            plan_verify=self.options.plan_verify,
+            mutation_base=self.mutation_base,
+            **drills,
         )
 
     # -- inline (jobs=1) path ------------------------------------------
@@ -312,44 +334,17 @@ class CampaignOrchestrator:
         journal: CampaignJournal | None,
         aggregator: TelemetryAggregator,
     ) -> None:
-        snapshots = self._snapshot_cache()
-        planner = self._planner_cache()
-        try:
-            for index in pending:
-                spec, case = self._pair(index)
-                record = execute_injection_run(
-                    self.executable,
-                    spec,
-                    case,
-                    budget=self.budgets[case.case_id],
-                    num_cores=self.num_cores,
-                    quantum=self.quantum,
-                    snapshots=snapshots,
-                    engine=self.options.engine,
-                    planner=planner,
-                )
-                trace_payload = _trace.take_completed() if self.options.trace else None
-                completed[index] = record
-                if journal is not None:
-                    journal.append_record(index, record)
-                    if trace_payload is not None:
-                        journal.append_trace(index, trace_payload)
-                aggregator.record_run(record, trace=trace_payload)
-                self.telemetry.update(aggregator.snapshot())
-                self._notify_progress(len(completed))
-                if (
-                    self.options.interrupt_after is not None
-                    and aggregator.executed >= self.options.interrupt_after
-                ):
-                    raise CampaignInterrupted(
-                        f"campaign stopped after {aggregator.executed} runs "
-                        "(interrupt_after)",
-                        len(completed),
-                        self.total_runs,
-                    )
-        finally:
-            if planner is not None:
-                planner.close()
+        """Every pending run as one in-process shard.
+
+        Its seed is the campaign seed itself: one shard has no partition
+        to decorrelate, and the planner's verification sample stays keyed
+        on ``CampaignConfig.seed``.
+        """
+
+        def emit(index: int, record: RunRecord, trace_payload: dict | None) -> None:
+            self._accept(index, record, trace_payload, completed, journal, aggregator)
+
+        execute_shard_runs(self._task(0, 1, pending, self.options.seed), emit)
 
     # -- parallel path --------------------------------------------------
 
@@ -360,25 +355,11 @@ class CampaignOrchestrator:
         stall_attempts, stall_seconds = self.options.stall_shards.get(
             state.shard.shard_id, (0, 0.0)
         )
-        return build_shard_task(
-            shard_id=state.shard.shard_id,
-            attempt=state.attempt,
-            indices=sorted(state.remaining),
-            program=self.program,
-            executable=self.executable,
-            faults=self.faults,
-            cases=self.cases,
-            budgets=self.budgets,
-            num_cores=self.num_cores,
-            quantum=self.quantum,
-            seed=state.shard.seed,
-            snapshot=self.options.snapshot,
-            trace=self.options.trace,
-            engine=self.options.engine,
-            prune=self.options.prune,
-            memoize=self.options.memoize,
-            memo_dir=self.options.memo_dir,
-            plan_verify=self.options.plan_verify,
+        return self._task(
+            state.shard.shard_id,
+            state.attempt,
+            sorted(state.remaining),
+            state.shard.seed,
             crash_after_runs=crash_after if crash_attempts else None,
             crash_attempts=crash_attempts,
             stall_seconds=stall_seconds,
@@ -472,27 +453,11 @@ class CampaignOrchestrator:
                     tag = message[0]
                     if tag == MSG_RUN:
                         _, shard_id, run_index, payload, trace_payload = message
-                        state = states[shard_id]
-                        record = RunRecord.from_dict(payload)
-                        completed[run_index] = record
-                        state.remaining.discard(run_index)
-                        if journal is not None:
-                            journal.append_record(run_index, record)
-                            if trace_payload is not None:
-                                journal.append_trace(run_index, trace_payload)
-                        aggregator.record_run(record, trace=trace_payload)
-                        self.telemetry.update(aggregator.snapshot())
-                        self._notify_progress(len(completed))
-                        if (
-                            self.options.interrupt_after is not None
-                            and aggregator.executed >= self.options.interrupt_after
-                        ):
-                            raise CampaignInterrupted(
-                                f"campaign stopped after {aggregator.executed} "
-                                "runs (interrupt_after)",
-                                len(completed),
-                                self.total_runs,
-                            )
+                        states[shard_id].remaining.discard(run_index)
+                        self._accept(
+                            run_index, RunRecord.from_dict(payload), trace_payload,
+                            completed, journal, aggregator,
+                        )
                     elif tag == MSG_DONE:
                         _, shard_id, _attempt = message
                         state = states[shard_id]

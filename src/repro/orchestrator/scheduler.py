@@ -1,8 +1,8 @@
 """Deterministic campaign sharding.
 
 The campaign matrix (every fault × every input case) is flattened into
-*run indices* in the exact order the serial :meth:`CampaignRunner.run`
-loop visits them (fault-major), and the indices still pending are cut
+*run indices* in serial order (fault-major: every case of fault 0, then
+of fault 1, …), and the indices still pending are cut
 into contiguous shards.  Two properties keep parallel campaigns
 bit-identical to serial ones:
 

@@ -1,7 +1,7 @@
 """The shard worker: one fresh process per shard of injection runs.
 
-The paper reboots the target machine between injections; the serial
-campaign loop reproduces that with a fresh simulated machine per run.
+The paper reboots the target machine between injections; the run loop
+reproduces that with a fresh simulated machine per run.
 The orchestrator strengthens it the way a real farm would: every shard
 is executed by a **fresh worker process**, so not even interpreter state
 (caches, allocator, a corrupted C extension…) can leak between shards —
@@ -14,11 +14,14 @@ queue and finishes with a ``shard-done`` marker.  The supervisor treats
 a missing marker (dead process, exceeded deadline) as a shard failure
 and retries only the runs whose messages never arrived.
 
-The run loop itself — snapshot/planner cache setup, per-run execution,
-trace capture — is :func:`execute_shard_runs`, shared verbatim with the
-distributed service's workers (:mod:`repro.service.worker`): a shard
-means exactly the same thing whether it arrived through a
-``multiprocessing`` queue or over the broker's HTTP lease protocol.
+The run loop itself — snapshot/planner/mutant cache setup, per-run
+execution for both injection tiers, trace capture — is
+:func:`execute_shard_runs`, the single run loop of every campaign: the
+orchestrator's inline ``jobs=1`` path calls it in-process, the pool
+workers call it here, and the distributed service's workers
+(:mod:`repro.service.worker`) call it on leased shards.  A shard means
+exactly the same thing whether it arrived through a ``multiprocessing``
+queue or over the broker's HTTP lease protocol.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ..lang.compiler import CompiledProgram
 from ..machine.loader import Executable
 from ..observability import trace as _trace
 from ..swifi.campaign import InputCase, RunRecord, execute_injection_run
-from ..swifi.faults import MachineFault
+from ..swifi.spec import TIER_SOURCE, InjectionSpec
 
 #: Message tags on the result queue.
 MSG_RUN = "run"          # (MSG_RUN, shard_id, run_index, record_dict, trace|None)
@@ -52,7 +56,9 @@ class ShardTask:
     references; ``runs`` maps each serial run index to positions in those
     tuples.  ``seed`` is the shard's private RNG stream (derived by the
     scheduler from the campaign seed), kept separate per shard so results
-    never depend on how the campaign was partitioned.
+    never depend on how the campaign was partitioned.  ``mutation_base``
+    is the original program that source-tier faults mutate; it is
+    ``None`` for machine-tier campaigns.
     """
 
     shard_id: int
@@ -62,7 +68,7 @@ class ShardTask:
     num_cores: int
     quantum: int
     budgets: dict[str, int]
-    faults: tuple[MachineFault | None, ...]
+    faults: tuple[InjectionSpec | None, ...]
     cases: tuple[InputCase, ...]
     runs: tuple[tuple[int, int, int], ...]  # (run_index, fault_pos, case_pos)
     seed: int
@@ -74,6 +80,8 @@ class ShardTask:
     memoize: bool = False
     memo_dir: str | None = None
     plan_verify: float = 0.0
+    # -- source tier (repro.srcfi); mutant cache built in-process --------
+    mutation_base: CompiledProgram | None = None
     # -- supervision drill hooks (exercised by the test suite) ----------
     crash_after_runs: int | None = None
     crash_attempts: int = 0
@@ -98,7 +106,7 @@ def build_shard_task(
     indices: Sequence[int],
     program: str,
     executable: Executable,
-    faults: Sequence[MachineFault],
+    faults: Sequence[InjectionSpec],
     cases: Sequence[InputCase],
     budgets: dict[str, int],
     num_cores: int,
@@ -111,6 +119,7 @@ def build_shard_task(
     memoize: bool = False,
     memo_dir: str | None = None,
     plan_verify: float = 0.0,
+    mutation_base: CompiledProgram | None = None,
     crash_after_runs: int | None = None,
     crash_attempts: int = 0,
     stall_seconds: float = 0.0,
@@ -128,7 +137,7 @@ def build_shard_task(
 
     fault_positions: dict[int, int] = {}
     case_positions: dict[int, int] = {}
-    task_faults: list[MachineFault] = []
+    task_faults: list[InjectionSpec] = []
     task_cases: list[InputCase] = []
     runs: list[tuple[int, int, int]] = []
     for index in sorted(indices):
@@ -159,6 +168,7 @@ def build_shard_task(
         memoize=memoize,
         memo_dir=memo_dir,
         plan_verify=plan_verify,
+        mutation_base=mutation_base,
         crash_after_runs=crash_after_runs,
         crash_attempts=crash_attempts,
         stall_seconds=stall_seconds,
@@ -174,10 +184,13 @@ def execute_shard_runs(
 
     ``emit(run_index, record, trace_payload)`` is invoked in serial-index
     order the moment each run finishes; raising from it aborts the shard
-    (the service worker uses that to abandon a lease it has lost).  The
-    snapshot and planner caches are built fresh for this task and torn
-    down afterwards — exactly the per-worker isolation the pool workers
-    have always had.
+    (the service worker uses that to abandon a lease it has lost, the
+    orchestrator's inline path to stop an interrupted campaign).  The
+    snapshot, planner and mutant caches are built fresh for this task and
+    torn down afterwards — exactly the per-worker isolation the pool
+    workers have always had.  Machine-tier specs run through
+    :func:`~repro.swifi.campaign.execute_injection_run`, source-tier ones
+    through :func:`repro.srcfi.campaign.run_source_fault`.
     """
     previous_tracing = None
     if task.trace:
@@ -196,7 +209,12 @@ def execute_shard_runs(
             policy=task.snapshot,
             engine=task.engine,
         )
-    planner = None
+    planner = mutants = None
+    if task.mutation_base is not None:
+        # Lazy import: srcfi sits above the campaign layer.
+        from ..srcfi.campaign import MutantCache, run_source_fault
+
+        mutants = MutantCache()
     try:
         if task.prune or task.memoize:
             # Built fresh per task like the snapshot cache; workers
@@ -218,17 +236,29 @@ def execute_shard_runs(
         for run_index, fault_pos, case_pos in task.runs:
             spec = task.faults[fault_pos]
             case = task.cases[case_pos]
-            record = execute_injection_run(
-                task.executable,
-                spec,
-                case,
-                budget=task.budgets[case.case_id],
-                num_cores=task.num_cores,
-                quantum=task.quantum,
-                snapshots=snapshots,
-                engine=task.engine,
-                planner=planner,
-            )
+            if spec is not None and spec.tier == TIER_SOURCE:
+                record = run_source_fault(
+                    task.mutation_base,
+                    spec,
+                    case,
+                    budget=task.budgets[case.case_id],
+                    cache=mutants,
+                    num_cores=task.num_cores,
+                    quantum=task.quantum,
+                    engine=task.engine,
+                )
+            else:
+                record = execute_injection_run(
+                    task.executable,
+                    spec,
+                    case,
+                    budget=task.budgets[case.case_id],
+                    num_cores=task.num_cores,
+                    quantum=task.quantum,
+                    snapshots=snapshots,
+                    engine=task.engine,
+                    planner=planner,
+                )
             payload = _trace.take_completed() if task.trace else None
             emit(run_index, record, payload)
     finally:

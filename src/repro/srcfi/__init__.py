@@ -12,7 +12,7 @@ and :mod:`repro.experiments.srcfi_compare` measures per-ODC-class
 agreement between the two tiers.
 """
 
-from .campaign import run_source_campaign
+from .campaign import run_source_fault
 from .locator import SourceErrorSet, SourceLocator, generate_source_error_set
 from .mutator import (
     MutantCache,
@@ -61,5 +61,5 @@ __all__ = [
     "operators_for_class",
     "realize_source_fault",
     "recompiled_identical",
-    "run_source_campaign",
+    "run_source_fault",
 ]

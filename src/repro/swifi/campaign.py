@@ -21,7 +21,6 @@ role here:
 from __future__ import annotations
 
 import json
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
@@ -34,13 +33,7 @@ from ..persist import atomic_write_json
 from .faults import MachineFault
 from .injector import InjectionSession
 from .outcomes import MODE_ORDER, FailureMode, classify
-from .spec import (
-    InjectionSpec,
-    LegacyCampaignAPIWarning,
-    TIER_MACHINE,
-    TIER_SOURCE,
-    TIERS,
-)
+from .spec import InjectionSpec, TIER_MACHINE, TIER_SOURCE, TIERS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..machine.loader import Executable
@@ -67,19 +60,13 @@ class CampaignError(RuntimeError):
     """Raised when the fault-free program disagrees with its oracle."""
 
 
-# LegacyCampaignAPIWarning historically lived here; it moved to
-# repro.swifi.spec when the legacy FaultSpec/FaultDescriptor constructor
-# shims started emitting it too.  Re-exported so existing warning filters
-# keyed on "repro.swifi.campaign.LegacyCampaignAPIWarning" keep working.
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Everything that shapes *how* a campaign executes (never *what*).
 
     One frozen value object instead of a sprawl of keyword arguments:
 
-    * ``jobs`` — worker processes (1 = the classic serial loop);
+    * ``jobs`` — worker processes (1 = every run in this process);
     * ``journal_dir``/``resume`` — JSONL journal of completed runs, and
       whether to continue from it instead of re-running;
     * ``seed`` — campaign seed for per-shard RNG streams;
@@ -172,12 +159,6 @@ class CampaignConfig:
             raise ValueError(
                 "plan_verify needs the planner on (prune and/or memoize)"
             )
-
-
-#: run() keyword arguments accepted by the deprecated pre-config API.
-_LEGACY_RUN_KEYS = frozenset(
-    {"jobs", "journal_dir", "resume", "seed", "telemetry", "label"}
-)
 
 
 @dataclass(frozen=True)
@@ -358,8 +339,9 @@ def execute_injection_run(
 ) -> RunRecord:
     """One injection run: fresh boot, arm, execute, classify.
 
-    This is the unit of work both the serial :class:`CampaignRunner` loop
-    and the orchestrator's worker processes execute — keeping it a plain
+    This is the unit of work every campaign's run loop
+    (:func:`repro.orchestrator.worker.execute_shard_runs`) executes, in
+    this process or in a shard worker — keeping it a plain
     module-level function of picklable arguments is what lets a shard be
     shipped to a fresh process (the paper's "the target system is rebooted
     between injections" becomes "a fresh machine in a fresh worker").
@@ -525,43 +507,20 @@ class CampaignRunner:
         progress: Callable[[int, int], None] | None = None,
         *,
         config: CampaignConfig | None = None,
-        **legacy,
     ) -> CampaignResult:
         """The full campaign: every fault against every input case.
 
-        Execution options ride in one :class:`CampaignConfig`.  With the
-        default config this is the classic serial loop; ``jobs > 1``, a
-        ``journal_dir`` or a ``telemetry`` sink delegate to the
-        :mod:`repro.orchestrator` subsystem (sharded worker pool,
-        resumable journal), and ``snapshot`` enables the golden-run
-        restore fast path.  Results are bit-identical to the plain serial
-        loop in every configuration.
+        Execution options ride in one :class:`CampaignConfig`.  Every
+        campaign runs through the :mod:`repro.orchestrator`: in this
+        process for ``jobs=1``, in sharded worker processes otherwise,
+        with a resumable journal when ``journal_dir`` is set.  Results
+        are bit-identical in every configuration.
 
-        The pre-config keyword arguments (``jobs=``, ``journal_dir=``,
-        ``resume=``, ``seed=``, ``telemetry=``, ``label=``) still work but
-        emit :class:`LegacyCampaignAPIWarning`.
+        Source-tier faults (``tier="source"``) are AST mutations: each
+        one compiles to a mutant of this runner's program that runs
+        fault-free through the same record pipeline.
         """
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass config=CampaignConfig(...) or the legacy keyword "
-                    "arguments, not both"
-                )
-            unknown = set(legacy) - _LEGACY_RUN_KEYS
-            if unknown:
-                raise TypeError(
-                    f"unknown campaign option(s): {sorted(unknown)}; "
-                    "see CampaignConfig"
-                )
-            warnings.warn(
-                "CampaignRunner.run(jobs=..., journal_dir=..., ...) is "
-                "deprecated; pass config=CampaignConfig(...) instead",
-                LegacyCampaignAPIWarning,
-                stacklevel=2,
-            )
-            config = CampaignConfig(**legacy)
-        elif config is None:
-            config = CampaignConfig()
+        config = config or CampaignConfig()
         self._apply_budget_overrides(config)
         if config.opt_level != self.compiled.opt_level:
             raise CampaignError(
@@ -569,80 +528,18 @@ class CampaignRunner:
                 f"{config.opt_level} but the compiled program was built at "
                 f"opt_level={self.compiled.opt_level}"
             )
-        if config.engine != self.engine:
-            self.engine = config.engine
-            # Budgets are engine-independent (instret is bit-identical),
-            # so calibrations from a previous engine remain valid.
+        # Budgets are engine-independent (instret is bit-identical), so
+        # calibrations from a previous engine remain valid.
+        self.engine = config.engine
 
+        mutation_base = None
         if config.tier == TIER_SOURCE:
-            # Source-tier faults are AST mutations: each one compiles to
-            # a mutant binary that runs fault-free through the same
-            # record pipeline.  Lazy import: srcfi sits above swifi.
-            from ..srcfi.campaign import run_source_campaign
+            # Lazy import: srcfi sits above swifi.
+            from ..srcfi.campaign import _check_config, _check_faults
 
-            return run_source_campaign(self, faults, config, progress)
-
-        if (
-            config.jobs == 1
-            and config.journal_dir is None
-            and config.telemetry is None
-            and not config.trace
-        ):
-            self.calibrate()
-            snapshots = None
-            if config.snapshot != SNAPSHOT_OFF:
-                from .snapshot import SnapshotCache
-
-                snapshots = SnapshotCache(
-                    self.compiled.executable,
-                    faults,
-                    num_cores=self.num_cores,
-                    quantum=self.quantum,
-                    policy=config.snapshot,
-                    engine=config.engine,
-                )
-            planner = None
-            if config.prune or config.memoize:
-                from ..planning import PlannerCache
-
-                planner = PlannerCache(
-                    self.compiled.executable,
-                    faults,
-                    num_cores=self.num_cores,
-                    quantum=self.quantum,
-                    engine=config.engine,
-                    prune=config.prune,
-                    memoize=config.memoize,
-                    memo_dir=config.memo_dir,
-                    verify_fraction=config.plan_verify,
-                    seed=config.seed,
-                )
-            result = CampaignResult(program=self.compiled.name)
-            total = len(faults) * len(self.cases)
-            done = 0
-            try:
-                for spec in faults:
-                    for case in self.cases:
-                        result.records.append(
-                            execute_injection_run(
-                                self.compiled.executable,
-                                spec,
-                                case,
-                                budget=self._budget_for(case),
-                                num_cores=self.num_cores,
-                                quantum=self.quantum,
-                                snapshots=snapshots,
-                                engine=config.engine,
-                                planner=planner,
-                            )
-                        )
-                        done += 1
-                        if progress is not None:
-                            progress(done, total)
-            finally:
-                if planner is not None:
-                    planner.close()
-            return result
+            _check_config(config)
+            _check_faults(faults)
+            mutation_base = self.compiled
 
         from ..orchestrator import CampaignOrchestrator, OrchestratorOptions
 
@@ -665,5 +562,6 @@ class CampaignRunner:
             telemetry=config.telemetry,
             progress=progress,
             label=config.label,
+            mutation_base=mutation_base,
         )
         return orchestrator.run().result

@@ -3,8 +3,7 @@
 A sampled fault is stored as a :class:`MachineFaultRecipe` — a small,
 JSON-serializable *recipe* rather than a concrete :class:`MachineFault`.
 The recipe is part of the unified :class:`repro.swifi.InjectionSpec`
-hierarchy (tier ``"machine"``); ``FaultDescriptor`` survives as a
-deprecated constructor shim.
+hierarchy (tier ``"machine"``).
 The recipe names things structurally ("the k-th Table-3 checking
 location", "the j-th divw/modw word in the code segment", "the global
 ``gout`` plus byte offset 8") and is *realized* against a compiled
@@ -33,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 from ..emulation import ASSIGNMENT_CLASS, CHECKING_CLASS, NotEmulableError
@@ -69,7 +67,7 @@ from ..swifi.faults import (
     Temporal,
     WhenPolicy,
 )
-from ..swifi.spec import InjectionSpec, LegacyCampaignAPIWarning, TIER_MACHINE
+from ..swifi.spec import InjectionSpec, TIER_MACHINE
 
 _MEM_OPCODES = (OP_LWZ, OP_STW, OP_LBZ, OP_STB)
 
@@ -90,8 +88,7 @@ class MachineFaultRecipe(InjectionSpec):
     Fields are a flat union over both kinds; unused fields stay at their
     defaults so ``asdict`` round-trips cleanly through JSON.
     Realization (:meth:`realize`) is the single ordinal-wrapping
-    implementation — the legacy ``FaultDescriptor`` shim inherits it
-    rather than keeping a private copy.
+    implementation.
     """
 
     kind: str                     # "table3" | "raw"
@@ -269,24 +266,6 @@ class MachineFaultRecipe(InjectionSpec):
             raise SamplerError("no data symbols to target")
         name, base = symbols[self.trigger_index % len(symbols)]
         return base + 4 * (self.operand % 4 if name.endswith("arr") else 0)
-
-
-class FaultDescriptor(MachineFaultRecipe):
-    """Deprecated pre-tier spelling of :class:`MachineFaultRecipe`.
-
-    Constructing one works exactly like ``MachineFaultRecipe`` (identical
-    fields, identical ``fault_id`` digest, the same inherited
-    :meth:`realize`) but emits :class:`LegacyCampaignAPIWarning`.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "FaultDescriptor is the legacy name of the machine-tier fault "
-            "recipe; construct repro.verify.MachineFaultRecipe instead",
-            LegacyCampaignAPIWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
 
 
 def _decode_code_words(executable) -> list[int]:

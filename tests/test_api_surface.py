@@ -28,13 +28,8 @@ class TestTierSurface:
 
     def test_srcfi_entry_points_are_exported(self):
         for name in ("OPERATORS", "SourceLocator", "realize_source_fault",
-                     "generate_source_error_set", "run_source_campaign",
+                     "generate_source_error_set", "run_source_fault",
                      "run_srcfi_compare", "CompareReport"):
-            assert name in api.__all__, name
-
-    def test_legacy_names_stay_exported(self):
-        # The deprecation shims remain part of the stable surface.
-        for name in ("FaultSpec", "FaultDescriptor"):
             assert name in api.__all__, name
 
     def test_reexports_are_the_same_objects(self):

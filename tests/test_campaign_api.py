@@ -1,5 +1,5 @@
-"""The unified campaign API: CampaignConfig, the legacy shim, repro.api,
-and the versioned result schema."""
+"""The unified campaign API: CampaignConfig, run()'s keyword surface,
+repro.api, and the versioned result schema."""
 
 import json
 import warnings
@@ -16,7 +16,6 @@ from repro.swifi import (
     FailureMode,
     MachineFault,
     InputCase,
-    LegacyCampaignAPIWarning,
     OpcodeFetch,
     RESULT_SCHEMA_VERSION,
     RunRecord,
@@ -86,22 +85,13 @@ class TestCampaignConfig:
 
 
 class TestLegacyShim:
-    def test_legacy_kwargs_warn_and_match_config(self, campaign):
-        compiled, cases, faults = campaign
-        via_config = CampaignRunner(compiled, cases).run(
-            faults, config=CampaignConfig(jobs=1, seed=7)
-        )
-        with pytest.warns(LegacyCampaignAPIWarning):
-            via_legacy = CampaignRunner(compiled, cases).run(
-                faults, jobs=1, seed=7
-            )
-        assert via_legacy.records == via_config.records
+    """The pre-config keyword spelling of run() is gone, not deprecated."""
 
-    def test_config_plus_legacy_is_an_error(self, campaign):
+    def test_legacy_kwargs_are_rejected(self, campaign):
         compiled, cases, faults = campaign
         runner = CampaignRunner(compiled, cases)
-        with pytest.raises(TypeError, match="not both"):
-            runner.run(faults, config=CampaignConfig(), jobs=2)
+        with pytest.raises(TypeError, match="jobs"):
+            runner.run(faults, jobs=2)
 
     def test_unknown_kwarg_is_an_error(self, campaign):
         compiled, cases, faults = campaign

@@ -160,7 +160,7 @@ class TestFiguresChoiceValidation:
 
 class TestSourceTierFlagConflicts:
     """--tier source + machine-tier-only flags: a one-line exit-2
-    diagnostic from the CLI, not the deep run_source_campaign rejection."""
+    diagnostic from the CLI, not the deep source-tier config rejection."""
 
     @pytest.mark.parametrize("extra, named", [
         (["--snapshot", "auto"], "--snapshot auto"),

@@ -52,9 +52,16 @@ class TestProbe:
             session.arm(probe("c", compiled.executable.entry + 8))
 
 
+@pytest.fixture(scope="module")
+def exposure():
+    """One tiny exposure-chain run shared by both tests (it is the slowest
+    computation in the tier-1 suite)."""
+    return run_exposure(ExperimentConfig.tiny())
+
+
 class TestExposure:
-    def test_exposure_rows_for_emulable_faults(self):
-        result = run_exposure(ExperimentConfig.tiny())
+    def test_exposure_rows_for_emulable_faults(self, exposure):
+        result = exposure
         fault_ids = {row.fault_id for row in result.rows}
         # The three faults with a single machine anchor.
         assert fault_ids == {"C.team1", "C.team4", "JB.team6"}
@@ -63,9 +70,8 @@ class TestExposure:
             assert row.p_fail <= row.p1 + 1e-9
             assert row.p2_p3 <= 1.0
 
-    def test_render(self):
-        result = run_exposure(ExperimentConfig.tiny())
-        text = result.render()
+    def test_render(self, exposure):
+        text = exposure.render()
         assert "p1" in text and "p2*p3" in text
 
 

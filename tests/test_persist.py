@@ -6,7 +6,9 @@ mode would fuse its first new record onto it — corrupting two records.
 These tests simulate the kill (truncate mid-line) and assert each resumable
 artefact repairs the tail before appending: the campaign runs journal
 (already covered by the orchestrator tests), the planner's on-disk memo
-dir, the verify fuzzer's case journal and the srcfi campaign journal.
+dir, the verify fuzzer's case journal, the source-tier campaign journal
+(the orchestrator's, reached through ``tier="source"``) and the ``srcfi
+compare`` pair journal.
 """
 
 import json
@@ -134,7 +136,7 @@ class TestSrcfiJournalRepair:
         return compiled, cases, faults
 
     def test_resume_after_kill_repairs_then_extends(self, tmp_path, target):
-        from repro.srcfi.campaign import JOURNAL_NAME
+        from repro.orchestrator.journal import RUNS_NAME
         from repro.swifi import CampaignConfig, CampaignRunner
 
         compiled, cases, faults = target
@@ -143,13 +145,16 @@ class TestSrcfiJournalRepair:
             faults, config=CampaignConfig(
                 tier="source", journal_dir=journal_dir))
 
-        journal = os.path.join(journal_dir, JOURNAL_NAME)
+        journal = os.path.join(journal_dir, RUNS_NAME)
         whole = _lines(journal)
-        assert len(whole) == len(first.records)
+        runs = [line for line in whole if json.loads(line)["type"] == "run"]
+        assert len(runs) == len(first.records)
 
+        # Simulate a kill mid-append of the last run: the completion-time
+        # plan entry after it was never written, the run line is torn.
         with open(journal, "r+b") as handle:
             data = handle.read()
-            handle.truncate(len(data) - 9)
+            handle.truncate(data.index(runs[-1].encode()) + len(runs[-1]) - 9)
 
         resumed = CampaignRunner(compiled, cases).run(
             faults, config=CampaignConfig(
@@ -159,3 +164,28 @@ class TestSrcfiJournalRepair:
             [r.to_dict() for r in first.records]
         # Torn record re-executed and re-appended exactly once.
         assert len(_lines(journal)) == len(whole)
+
+
+class TestSrcfiCompareJournalRepair:
+    def test_resume_after_kill_repairs_then_extends(self, tmp_path):
+        from repro.experiments import ExperimentConfig, run_srcfi_compare
+
+        config = ExperimentConfig().tiny()
+        options = dict(programs=["JB.team6"], max_sites=2, include_real=False,
+                       journal_dir=str(tmp_path / "pairs"))
+        first = run_srcfi_compare(config, **options)
+
+        journal = tmp_path / "pairs" / "pairs.jsonl"
+        whole = _lines(journal)
+        assert len(whole) >= 2
+
+        # Simulate a kill mid-append: the last pair loses its tail.
+        with open(journal, "r+b") as handle:
+            data = handle.read()
+            handle.truncate(len(data) - 5)
+
+        resumed = run_srcfi_compare(config, resume=True, **options)
+        _assert_all_lines_parse(journal)
+        pair_ids = [json.loads(line)["pair_id"] for line in _lines(journal)]
+        assert len(pair_ids) == len(set(pair_ids)) == len(whole)
+        assert resumed.jsonable() == first.jsonable()

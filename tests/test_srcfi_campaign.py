@@ -1,5 +1,8 @@
 """Source-tier campaigns: routing, journal/resume, jobs parity, fuzzing."""
 
+import json
+import os
+
 import pytest
 
 from repro.lang import compile_source
@@ -104,6 +107,9 @@ class TestJournal:
         first = CampaignRunner(compiled, cases).run(
             faults, config=CampaignConfig(
                 tier="source", journal_dir=journal_dir))
+        runs_file = os.path.join(journal_dir, "runs.jsonl")
+        with open(runs_file, encoding="utf-8") as handle:
+            journaled_lines = handle.read().splitlines()
         progressed = []
         resumed = CampaignRunner(compiled, cases).run(
             faults,
@@ -113,8 +119,91 @@ class TestJournal:
         )
         assert [r.to_dict() for r in resumed.records] == \
             [r.to_dict() for r in first.records]
-        # Everything came from the journal: no new progress ticks.
-        assert not progressed
+        # Everything came from the journal: no run was re-executed or
+        # re-journaled, and every tick already reports the full campaign.
+        with open(runs_file, encoding="utf-8") as handle:
+            run_lines = [line for line in handle.read().splitlines()
+                         if json.loads(line)["type"] == "run"]
+        assert len(run_lines) == len(first.records)
+        assert run_lines == [line for line in journaled_lines
+                             if json.loads(line)["type"] == "run"]
+        assert progressed
+        assert all(done == total for done, total in progressed)
+
+    def test_resume_with_a_different_fault_list_is_refused(self, target,
+                                                           tmp_path):
+        from repro.orchestrator import JournalError
+
+        compiled, cases, faults = target
+        journal_dir = str(tmp_path / "j")
+        CampaignRunner(compiled, cases).run(
+            faults[:-1], config=CampaignConfig(
+                tier="source", journal_dir=journal_dir))
+        with pytest.raises(JournalError, match="different campaign"):
+            CampaignRunner(compiled, cases).run(
+                faults, config=CampaignConfig(
+                    tier="source", journal_dir=journal_dir, resume=True))
+
+    def test_traced_parallel_campaign_reports_every_record(self, target,
+                                                           tmp_path):
+        from repro.observability import build_trace_report, render_trace_report
+
+        compiled, cases, faults = target
+        journal_dir = str(tmp_path / "j")
+        result = CampaignRunner(compiled, cases).run(
+            faults, config=CampaignConfig(
+                tier="source", jobs=2, trace=True, journal_dir=journal_dir))
+        report = build_trace_report(journal_dir)
+        assert report.record_count == len(result.records) \
+            == len(faults) * len(cases)
+        assert report.traced_count == report.record_count
+        assert sum(report.merged_stats().paths.values()) == report.record_count
+        rendered = render_trace_report(report)
+        assert f"journaled runs: {report.record_count}" in rendered
+        total_row = next(line for line in rendered.splitlines()
+                         if line.split()[:1] == ["total"])
+        assert int(total_row.split()[1]) == report.record_count
+
+
+class TestToolFaults:
+    """A mutant that cannot be built is a tool fault, never an outcome."""
+
+    def test_unrealizable_fault_is_a_campaign_error_inline(self, target):
+        from repro.srcfi import SourceFault
+
+        compiled, cases, faults = target
+        bad = SourceFault(operator="no-such-operator", site_index=0)
+        with pytest.raises(CampaignError, match="no-such-operator"):
+            CampaignRunner(compiled, cases).run(
+                faults[:1] + [bad], config=CampaignConfig(tier="source"))
+
+    def test_unrealizable_fault_is_a_shard_failure_in_the_pool(self, target,
+                                                               tmp_path):
+        from repro.orchestrator.journal import load_runs_file
+        from repro.srcfi import SourceFault
+
+        compiled, cases, faults = target
+        bad = SourceFault(operator="no-such-operator", site_index=0)
+        good = faults[:3]
+        journal_dir = str(tmp_path / "j")
+        result = CampaignRunner(compiled, cases).run(
+            good + [bad], config=CampaignConfig(
+                tier="source", jobs=2, journal_dir=journal_dir))
+        serial = CampaignRunner(compiled, cases).run(
+            good, config=CampaignConfig(tier="source"))
+        assert [r.to_dict() for r in result.records] == \
+            [r.to_dict() for r in serial.records]
+
+        state = load_runs_file(os.path.join(journal_dir, "runs.jsonl"))
+        bad_runs = set(range(len(good) * len(cases),
+                             (len(good) + 1) * len(cases)))
+        assert bad.fault_id not in {r.fault_id for r in state.records.values()}
+        assert not bad_runs & set(state.records)
+        failed = {index for entry in state.past_failures
+                  for index in entry["runs"]}
+        assert failed == bad_runs
+        assert all("no-such-operator" in entry["error"]
+                   for entry in state.past_failures)
 
 
 class TestErrorSets:
