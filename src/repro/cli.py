@@ -394,7 +394,6 @@ def _cmd_verify_fuzz(args):
         tier=args.tier,
         journal_dir=args.journal_dir,
         resume=args.resume,
-        trace=args.trace,
         **extra,
     ))
     print("\n".join(report.summary_lines()))
@@ -464,7 +463,6 @@ def _cmd_srcfi_compare(args):
         jobs=args.jobs,
         journal_dir=args.journal_dir,
         resume=args.resume,
-        trace=args.trace,
         engine=args.engine,
         progress=progress,
     )
@@ -801,9 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--resume", action="store_true",
                       help="skip programs journaled in --journal-dir, "
                            "keeping their counts")
-    fuzz.add_argument("--trace", action="store_true",
-                      help="accepted for flag uniformity; the fuzzer records "
-                           "no per-run span traces")
     fuzz.add_argument("--tier", choices=("machine", "source"),
                       default="machine",
                       help="fuzz the machine tier (sampled Table-3 "
@@ -887,9 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="journal completed pairs here for --resume")
     srcfi_compare.add_argument("--resume", action="store_true",
                                help="skip pairs journaled in --journal-dir")
-    srcfi_compare.add_argument("--trace", action="store_true",
-                               help="accepted for flag uniformity; the pair "
-                                    "runner records no span traces")
     srcfi_compare.add_argument("--engine", choices=("simple", "block", "trace"),
                                default="simple",
                                help="machine execution engine for both tiers")

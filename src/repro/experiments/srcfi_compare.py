@@ -26,7 +26,6 @@ them.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +35,7 @@ from ..analysis.tables import render_table
 from ..emulation.realfaults import NotEmulableError
 from ..machine.debug import DebugResourceError
 from ..machine.loader import boot
-from ..persist import atomic_write_json, trim_partial_tail
+from ..persist import JsonlLog, atomic_write_json, open_manifest, read_jsonl
 from ..srcfi import (
     MUTATION_CLASSES,
     MutantCache,
@@ -350,7 +349,6 @@ def run_srcfi_compare(
     jobs: int = 1,
     journal_dir: str | None = None,
     resume: bool = False,
-    trace: bool = False,
     engine: str = "simple",
     progress=None,
 ) -> CompareReport:
@@ -359,10 +357,11 @@ def run_srcfi_compare(
     ``max_sites`` caps sites per (program, operator) to bound runtime
     (None = exhaustive).  ``jobs`` parallelizes over (program, fault)
     pairs.  With ``journal_dir``, each completed pair is journaled as one
-    JSONL line and ``resume=True`` skips journaled pairs.  ``trace`` is
-    accepted for CLI uniformity and is a no-op here.
+    JSONL line and ``resume=True`` skips journaled pairs; resuming a
+    journal written under another seed, input count or budget factor is
+    a :class:`repro.persist.JournalError`, as is reusing a journal
+    directory without ``resume``.
     """
-    del trace  # accepted, not meaningful for the pair runner
     config = config or ExperimentConfig()
     report = CompareReport(programs=[], inputs=config.campaign_inputs,
                            seed=config.seed)
@@ -397,20 +396,15 @@ def run_srcfi_compare(
     journal_path = None
     journaled: dict[str, list[PairOutcome]] = {}
     if journal_dir is not None:
-        os.makedirs(journal_dir, exist_ok=True)
         journal_path = os.path.join(journal_dir, "pairs.jsonl")
-        if resume and os.path.exists(journal_path):
-            with open(journal_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        break
-                    if entry.get("type") != "pair":
-                        continue
+        # Pinned to what decides a pair's outcome; not the engine, whose
+        # records are byte-identical across engines.
+        fingerprint = {"seed": config.seed,
+                       "campaign_inputs": config.campaign_inputs,
+                       "budget_factor": config.budget_factor}
+        if open_manifest(journal_dir, fingerprint, resume=resume):
+            for entry in read_jsonl(journal_path):
+                if entry.get("type") == "pair":
                     journaled[entry["pair_id"]] = [
                         PairOutcome.from_dict(o) for o in entry["outcomes"]
                     ]
@@ -427,21 +421,17 @@ def run_srcfi_compare(
     journal = None
     try:
         if journal_path is not None:
-            # A kill mid-append leaves a torn last line; appending after it
-            # would fuse the next pair onto the fragment.
-            trim_partial_tail(journal_path)
-            journal = open(journal_path, "a", encoding="utf-8")
+            journal = JsonlLog(journal_path)
 
         def consume(item: tuple, outcomes: list[PairOutcome]) -> None:
             nonlocal completed
             results[pair_id(item)] = outcomes
             if journal is not None:
-                journal.write(json.dumps({
+                journal.append({
                     "type": "pair",
                     "pair_id": pair_id(item),
                     "outcomes": [o.to_dict() for o in outcomes],
-                }) + "\n")
-                journal.flush()
+                })
             completed += 1
             if progress is not None:
                 progress(completed, total)

@@ -10,6 +10,7 @@ system crashes have not been observed in any of the programs".
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 
@@ -74,6 +75,12 @@ class Table1Result:
         )
 
 
+def table1_seed(seed: int, program: str) -> int:
+    """One program's input seed: a name digest, not the per-process ``hash()``."""
+    digest = hashlib.sha256(program.encode("utf-8")).digest()
+    return seed + int.from_bytes(digest[:8], "big") % 1000
+
+
 def run_table1(config: ExperimentConfig | None = None) -> Table1Result:
     config = config or ExperimentConfig()
     result = Table1Result()
@@ -84,7 +91,7 @@ def run_table1(config: ExperimentConfig | None = None) -> Table1Result:
             else config.table1_runs_jamesb
         )
         faulty = workload.compiled_faulty()
-        rng = random.Random(config.seed + hash(workload.name) % 1000)
+        rng = random.Random(table1_seed(config.seed, workload.name))
         wrong = hangs = crashes = 0
         for _ in range(runs):
             pokes = workload.generate_pokes(rng)

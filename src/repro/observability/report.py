@@ -35,11 +35,6 @@ from .trace import (
     TraceStats,
 )
 
-#: Matches repro.orchestrator.journal.RUNS_NAME (kept literal: the report
-#: reads journals without needing a campaign fingerprint).
-RUNS_FILENAME = "runs.jsonl"
-
-
 @dataclass
 class JournalTraceSummary:
     """One journal directory's records, traces and aggregate stats."""
@@ -83,26 +78,28 @@ class TraceReport:
 
 def find_journal_dirs(root: str) -> list[str]:
     """Every directory under *root* (inclusive) holding a run log."""
+    from ..orchestrator.journal import RUNS_NAME
+
     found = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()  # deterministic report order
-        if RUNS_FILENAME in filenames:
+        if RUNS_NAME in filenames:
             found.append(dirpath)
     return found
 
 
 def build_trace_report(root: str) -> TraceReport:
     """Aggregate every journal under *root* into a :class:`TraceReport`."""
-    from ..orchestrator.journal import load_runs_file
+    from ..orchestrator.journal import RUNS_NAME, load_runs_file
 
     directories = find_journal_dirs(root)
     if not directories:
         raise FileNotFoundError(
-            f"no campaign journal ({RUNS_FILENAME}) found under {root!r}"
+            f"no campaign journal ({RUNS_NAME}) found under {root!r}"
         )
     journals = []
     for directory in directories:
-        state = load_runs_file(os.path.join(directory, RUNS_FILENAME))
+        state = load_runs_file(os.path.join(directory, RUNS_NAME))
         stats = TraceStats()
         ordered = sorted(state.traces.items())
         for _, payload in ordered:

@@ -8,18 +8,17 @@ Layout of a journal directory::
 
 The manifest pins the journal to one exact campaign — program, seed,
 fault ids, case ids, run count — so ``--resume`` can refuse to splice
-records from a different campaign into this one.  It is written through
-:func:`repro.persist.atomic_write_json`, the same helper
-:meth:`CampaignResult.to_json` uses, so a crash never leaves a truncated
-manifest.
+records from a different campaign into this one
+(:func:`repro.persist.open_manifest`, written atomically).
 
-``runs.jsonl`` is append-only: each completed run is one self-contained
-JSON line, flushed as soon as the supervisor sees it.  With tracing on
+``runs.jsonl`` is a :class:`repro.persist.JsonlLog`: each completed run
+is one self-contained JSON line, flushed as soon as the supervisor sees
+it and fsynced at shard boundaries and on close.  With tracing on
 (``CampaignConfig(trace=True)`` / ``--trace``) every run entry is
 followed by a ``trace`` entry carrying the run's span tree and fast-path
 accounting; ``repro trace report`` reads them back.  If the campaign
 process is killed mid-append the file may end in a partial line;
-:meth:`CampaignJournal.open` tolerates exactly that (the half-written
+:func:`repro.persist.read_jsonl` tolerates exactly that (the half-written
 trailing line is dropped, the run re-executes on resume) — every other
 malformed line is an error.
 """
@@ -27,33 +26,21 @@ malformed line is an error.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 
-from ..persist import atomic_write_json, trim_partial_tail
+from ..persist import (  # MANIFEST_NAME and encode_entry: re-exported
+    MANIFEST_NAME,  # noqa: F401
+    JournalError,
+    JsonlLog,
+    encode_entry,  # noqa: F401
+    open_manifest,
+    read_jsonl,
+)
 from ..swifi.campaign import RunRecord
 
-MANIFEST_NAME = "manifest.json"
 RUNS_NAME = "runs.jsonl"
 JOURNAL_VERSION = 1
-
-
-def encode_entry(entry: dict) -> str:
-    """Serialise one journal entry to its canonical JSONL line.
-
-    Every writer of ``runs.jsonl`` — the in-process journal below and the
-    service broker's segment merge (:mod:`repro.service.merge`) — must go
-    through this function: the distributed chaos suite asserts merged
-    journals bit-identical to serial ones, so the byte encoding of a line
-    is part of the journal contract, not an implementation detail.
-    """
-    return json.dumps(entry) + "\n"
-
-
-class JournalError(RuntimeError):
-    """Raised for fingerprint mismatches and malformed journal files."""
-
 
 def campaign_fingerprint(
     *,
@@ -96,30 +83,14 @@ class JournalState:
 def load_runs_file(path: str) -> JournalState:
     """Parse one ``runs.jsonl`` into a :class:`JournalState`.
 
-    Tolerates exactly one malformed line — an unterminated final line
-    left by a kill mid-append (that run simply re-executes on resume);
-    any other malformed or unknown entry is a :class:`JournalError`.
-    Used both by :meth:`CampaignJournal.open` and by the fingerprint-free
-    readers in :mod:`repro.observability.report`.
+    Lines are read by :func:`repro.persist.read_jsonl`: a torn final line
+    (a kill mid-append) is dropped and that run re-executes on resume;
+    any other malformed line, or an unknown entry type, is a
+    :class:`JournalError`.  Used both by :meth:`CampaignJournal.open` and
+    by the fingerprint-free readers in :mod:`repro.observability.report`.
     """
     state = JournalState()
-    if not os.path.exists(path):
-        return state
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read()
-    lines = raw.split("\n")
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            # Only an unterminated final line can be a crash artefact.
-            if position == len(lines) - 1 and not raw.endswith("\n"):
-                break
-            raise JournalError(
-                f"corrupt journal line {position + 1} in {path!r}"
-            ) from None
+    for entry in read_jsonl(path):
         kind = entry.get("type")
         if kind == "run":
             state.records[int(entry["index"])] = RunRecord.from_dict(entry["record"])
@@ -136,24 +107,15 @@ def load_runs_file(path: str) -> JournalState:
     return state
 
 
-def _trim_partial_tail(path: str) -> None:
-    """Truncate an unterminated final line left by a crash mid-append."""
-    trim_partial_tail(path)
-
-
 class CampaignJournal:
     """Append-only journal of completed runs for one campaign."""
 
     def __init__(self, directory: str, fingerprint: dict) -> None:
         self.directory = directory
         self.fingerprint = fingerprint
-        self._handle = None
+        self._log: JsonlLog | None = None
 
     # -- opening -------------------------------------------------------
-
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
 
     @property
     def runs_path(self) -> str:
@@ -163,47 +125,21 @@ class CampaignJournal:
         """Create or re-open the journal; return already-journaled state.
 
         A fresh directory is always fine.  An existing journal is only
-        re-opened when *resume* is set (anything else silently mixing two
-        campaigns' records would be worse than an error) and only when
-        its manifest matches this campaign's fingerprint.
+        re-opened when *resume* is set and its manifest matches this
+        campaign's fingerprint (:func:`repro.persist.open_manifest`).
         """
-        os.makedirs(self.directory, exist_ok=True)
         state = JournalState()
-        if os.path.exists(self.manifest_path):
-            if not resume:
-                raise JournalError(
-                    f"journal {self.directory!r} already exists; pass resume=True "
-                    "to continue it or point --journal-dir at a fresh directory"
-                )
-            with open(self.manifest_path, "r", encoding="utf-8") as handle:
-                stored = json.load(handle)
-            if stored != self.fingerprint:
-                raise JournalError(
-                    f"journal {self.directory!r} was written by a different "
-                    "campaign (program/seed/fault set/case set differ); refusing "
-                    "to resume from it"
-                )
-            state = self._load_runs()
-        else:
-            atomic_write_json(self.manifest_path, self.fingerprint)
-        # A kill mid-append can leave runs.jsonl ending in a partial line.
-        # The reader drops it, but appending after it would fuse the next
-        # record onto the fragment — corrupting the middle of the file for
-        # every later resume — so trim the fragment before reopening.
-        _trim_partial_tail(self.runs_path)
-        self._handle = open(self.runs_path, "a", encoding="utf-8")
+        if open_manifest(self.directory, self.fingerprint, resume=resume):
+            state = load_runs_file(self.runs_path)
+        self._log = JsonlLog(self.runs_path)
         return state
-
-    def _load_runs(self) -> JournalState:
-        return load_runs_file(self.runs_path)
 
     # -- appending -----------------------------------------------------
 
     def _append(self, entry: dict) -> None:
-        if self._handle is None:
+        if self._log is None:
             raise JournalError("journal is not open")
-        self._handle.write(encode_entry(entry))
-        self._handle.flush()
+        self._log.append(entry)
 
     def append_record(self, run_index: int, record: RunRecord) -> None:
         self._append({"type": "run", "index": run_index, "record": record.to_dict()})
@@ -229,15 +165,11 @@ class CampaignJournal:
         )
 
     def sync(self) -> None:
-        """Flush and fsync the run log (called at shard boundaries)."""
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+        """Fsync the run log (called at shard boundaries)."""
+        if self._log is not None:
+            self._log.sync()
 
     def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self.sync()
-            finally:
-                self._handle.close()
-                self._handle = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None

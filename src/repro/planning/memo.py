@@ -14,10 +14,11 @@ fingerprint (the common case: generated fault sets repeat the same
 corruption at the same site across probe/error pairs) correctly share
 one cached outcome while keeping their own identities.
 
-Persistence is append-only JSONL, one file per writer process
+Persistence is one :class:`repro.persist.JsonlLog` per writer process
 (``memo-<pid>.jsonl``) so concurrent shard workers never interleave
-writes.  Loading reads every ``*.jsonl`` in the directory and skips torn
-trailing lines, which makes kill + resume safe: a campaign resumed over
+writes.  Loading reads every ``*.jsonl`` in the directory with its own
+lenient loop — this is a cache, so a malformed line anywhere is skipped
+rather than fatal — which makes kill + resume safe: a campaign resumed over
 a warm memo directory replays every previously executed outcome.
 """
 
@@ -27,7 +28,7 @@ import json
 import os
 from pathlib import Path
 
-from ..persist import trim_partial_tail
+from ..persist import JsonlLog
 from ..swifi.campaign import InputCase, RunRecord
 from ..swifi.faults import MachineFault
 from ..swifi.outcomes import FailureMode
@@ -116,13 +117,10 @@ class OutcomeCache:
         self._outcomes[key] = outcome
         if self._dir is not None:
             if self._sink is None:
-                # A previous process with this pid may have been killed
-                # mid-append; fuse-proof the tail before the first write.
-                sink_path = self._dir / f"memo-{os.getpid()}.jsonl"
-                trim_partial_tail(sink_path)
-                self._sink = open(sink_path, "a", encoding="utf-8")
-            self._sink.write(json.dumps({"key": key, "outcome": outcome}) + "\n")
-            self._sink.flush()
+                # The log trims a torn tail left by an earlier process with
+                # this pid, so the first entry never fuses onto it.
+                self._sink = JsonlLog(self._dir / f"memo-{os.getpid()}.jsonl")
+            self._sink.append({"key": key, "outcome": outcome})
 
     def close(self) -> None:
         if self._sink is not None:

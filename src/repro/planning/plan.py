@@ -153,17 +153,17 @@ class PlanReport:
 
 def build_plan_report(root: str) -> PlanReport:
     """Partition every journal under *root* by record provenance."""
-    from ..observability.report import RUNS_FILENAME, find_journal_dirs
-    from ..orchestrator.journal import load_runs_file
+    from ..observability.report import find_journal_dirs
+    from ..orchestrator.journal import RUNS_NAME, load_runs_file
 
     directories = find_journal_dirs(root)
     if not directories:
         raise FileNotFoundError(
-            f"no campaign journal ({RUNS_FILENAME}) found under {root!r}"
+            f"no campaign journal ({RUNS_NAME}) found under {root!r}"
         )
     journals = []
     for directory in directories:
-        state = load_runs_file(os.path.join(directory, RUNS_FILENAME))
+        state = load_runs_file(os.path.join(directory, RUNS_NAME))
         plan = plan_from_records(
             record for _, record in sorted(state.records.items())
         )

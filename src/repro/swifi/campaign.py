@@ -84,7 +84,9 @@ class CampaignConfig:
     * ``engine`` — the machine's execution engine: ``"simple"`` is the
       per-instruction interpreter, ``"block"`` the block-compiling engine
       (:mod:`repro.machine.blocks`), which is faster and falls back to
-      the interpreter around every fault-injection hook;
+      the interpreter around every fault-injection hook, and ``"trace"``
+      adds to ``"block"`` a tier that stitches hot profiled paths into
+      superblock traces.  All three journal byte-identical records;
     * ``prune``/``memoize`` — the campaign planner
       (:mod:`repro.planning`): ``prune`` statically synthesizes records
       for provably dormant / invisible faults without booting a machine,

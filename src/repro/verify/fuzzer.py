@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -64,7 +63,7 @@ from .sampler import MachineFaultRecipe, SamplerError, sample_descriptors
 from .shrinker import ShrinkResult, shrink_case
 from ..lang import compile_source
 from ..machine.machine import ENGINE_SIMPLE, ENGINES
-from ..persist import trim_partial_tail
+from ..persist import JsonlLog, read_jsonl
 from ..swifi.campaign import (
     CampaignConfig,
     CampaignError,
@@ -101,7 +100,6 @@ class FuzzConfig:
     tier: str = TIER_MACHINE         # injection tier under test
     journal_dir: str | Path | None = None
     resume: bool = False             # skip journaled programs
-    trace: bool = False              # accepted for CLI uniformity; no spans here
 
 
 @dataclass
@@ -225,36 +223,25 @@ def realize_faults(compiled, descriptors: list[MachineFaultRecipe],
 # ---------------------------------------------------------------------------
 
 
-def _open_journal(config: FuzzConfig) -> tuple[Path | None, dict[int, dict]]:
+def _open_journal(config: FuzzConfig) -> tuple[JsonlLog | None, dict[int, dict]]:
     if config.journal_dir is None:
         return None, {}
     directory = Path(config.journal_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    journal = directory / FUZZ_JOURNAL
-    # Repair a crash-torn tail before this campaign's first append would
-    # fuse onto it; the resume reader below then never sees a torn line.
-    trim_partial_tail(journal)
+    path = directory / FUZZ_JOURNAL
     done: dict[int, dict] = {}
-    if config.resume and journal.exists():
-        with open(journal, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail write of a killed campaign
-                if (entry.get("type") == "program"
-                        and entry.get("seed") == config.seed
-                        and entry.get("tier") == config.tier):
-                    done[int(entry["index"])] = entry
-    return journal, done
+    if config.resume:
+        for entry in read_jsonl(path):
+            if (entry.get("type") == "program"
+                    and entry.get("seed") == config.seed
+                    and entry.get("tier") == config.tier):
+                done[int(entry["index"])] = entry
+    return JsonlLog(path), done
 
 
-def _journal_program(journal: Path, config: FuzzConfig, index: int,
+def _journal_program(journal: JsonlLog, config: FuzzConfig, index: int,
                      report: FuzzReport, before: tuple) -> None:
-    entry = {
+    journal.append({
         "type": "program",
         "seed": config.seed,
         "tier": config.tier,
@@ -264,9 +251,7 @@ def _journal_program(journal: Path, config: FuzzConfig, index: int,
         "runs": report.total_runs - before[2],
         "skipped": report.skipped_faults - before[3],
         "opt_cases": report.opt_cases - before[5],
-    }
-    with open(journal, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry) + "\n")
+    })
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
@@ -284,6 +269,17 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     report = FuzzReport(seed=config.seed)
     clock = _Clock(config.time_budget)
     journal, done = _open_journal(config)
+    try:
+        _fuzz_programs(config, report, clock, journal, done)
+    finally:
+        if journal is not None:
+            journal.close()
+    report.elapsed = clock.elapsed
+    return report
+
+
+def _fuzz_programs(config: FuzzConfig, report: FuzzReport, clock: _Clock,
+                   journal: JsonlLog | None, done: dict[int, dict]) -> None:
     index = 0
     while report.state_cases < config.cases:
         if clock.expired:
@@ -314,8 +310,6 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         _emit(config, f"program {index}: {report.state_cases}/{config.cases} "
                       f"state cases, {len(report.divergences)} divergences")
         index += 1
-    report.elapsed = clock.elapsed
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,8 @@ class TestTierFlag:
 
 
 class TestUniformFlags:
-    """--jobs/--journal-dir/--resume/--trace parse the same everywhere."""
+    """--jobs/--journal-dir/--resume parse the same everywhere; --trace
+    exists only where it records span traces."""
 
     @pytest.mark.parametrize("prefix", [
         ["figures"],
@@ -328,11 +329,14 @@ class TestUniformFlags:
     ])
     def test_uniform_flags_parse(self, prefix):
         args = build_parser().parse_args(
-            prefix + ["--jobs", "2", "--journal-dir", "j",
-                      "--resume", "--trace"])
+            prefix + ["--jobs", "2", "--journal-dir", "j", "--resume"])
         assert args.jobs == 2
         assert args.journal_dir == "j"
-        assert args.resume and args.trace
+        assert args.resume
+        traced = prefix in (["figures"], ["srcfi", "campaign"])
+        assert hasattr(args, "trace") == traced
+        if traced:
+            assert build_parser().parse_args(prefix + ["--trace"]).trace
 
     @pytest.mark.parametrize("prefix", [
         ["figures"],

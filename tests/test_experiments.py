@@ -176,6 +176,28 @@ class TestTable1Driver:
         assert result.total_hangs_and_crashes == 0
         assert "Table 1" in result.render()
 
+    def test_seed_is_the_same_in_every_process(self):
+        # hash() of a str is salted per process (PYTHONHASHSEED); the
+        # per-program seed offset must not be.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = ("from repro.experiments.table1 import table1_seed; "
+                  "print([table1_seed(0, name) for name in "
+                  "('C.team1', 'C.team5', 'JB.team6')])")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        seeds = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            seeds.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(seeds) == 1
+
 
 class TestSec5Driver:
     def test_tiny_run_categories(self):
