@@ -57,6 +57,7 @@ from .experiments import (
     run_table4,
     run_trigger_ablation,
 )
+from .persist import JournalError
 
 
 def _positive_int(text: str) -> int:
@@ -987,7 +988,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    status = args.fn(args)
+    try:
+        status = args.fn(args)
+    except JournalError as error:  # a journal refused: no traceback needed
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     return 0 if status is None else int(status)
 
 

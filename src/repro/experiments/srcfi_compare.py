@@ -50,6 +50,8 @@ from .config import ExperimentConfig
 
 SEC5_BUDGET = 100_000_000  # matches experiments.sec5's real-fault runs
 
+PAIRS_NAME = "pairs.jsonl"  # the compare journal's log, beside its manifest
+
 
 @dataclass(frozen=True)
 class PairOutcome:
@@ -396,13 +398,14 @@ def run_srcfi_compare(
     journal_path = None
     journaled: dict[str, list[PairOutcome]] = {}
     if journal_dir is not None:
-        journal_path = os.path.join(journal_dir, "pairs.jsonl")
+        journal_path = os.path.join(journal_dir, PAIRS_NAME)
         # Pinned to what decides a pair's outcome; not the engine, whose
         # records are byte-identical across engines.
         fingerprint = {"seed": config.seed,
                        "campaign_inputs": config.campaign_inputs,
                        "budget_factor": config.budget_factor}
-        if open_manifest(journal_dir, fingerprint, resume=resume):
+        if open_manifest(journal_dir, fingerprint,
+                         log_name=PAIRS_NAME, resume=resume):
             for entry in read_jsonl(journal_path):
                 if entry.get("type") == "pair":
                     journaled[entry["pair_id"]] = [

@@ -8,14 +8,17 @@ pool:
 
 * :mod:`.scheduler` — partitions the (fault, case) matrix and derives a
   per-shard RNG stream from the campaign seed, so parallel results are
-  bit-identical to serial ones;
+  bit-identical to serial ones; its :class:`ShardQueue` is the one shard
+  lifecycle (lease, renew, complete, void, expire) the pool and the
+  service broker share;
 * :mod:`.journal` — an append-only JSONL log of completed runs with an
   atomically-written manifest, so a killed campaign resumes instead of
   re-running everything;
 * :mod:`.worker` — one fresh process per shard (the paper's "the target
   system is rebooted between injections", promoted to process level);
-* :mod:`.pool` — the supervisor: deadline/crash detection, bounded
-  retries, failed-shard bookkeeping that never aborts the campaign;
+* :mod:`.pool` — the supervisor: the ``multiprocessing`` transport of
+  the shard lifecycle, with crash and no-progress detection and
+  failed-shard bookkeeping that never aborts the campaign;
 * :mod:`.telemetry` — queue-fed progress events: runs/sec, per-mode
   tallies, ETA, a CLI renderer and a JSON exporter.
 """
@@ -35,6 +38,7 @@ from .pool import (
 )
 from .scheduler import (
     Shard,
+    ShardQueue,
     default_shard_size,
     pair_for_index,
     plan_shards,
@@ -62,13 +66,13 @@ __all__ = [
     "JournalError",
     "JournalState",
     "campaign_fingerprint",
-    "encode_entry",
     "load_runs_file",
     "CampaignInterrupted",
     "CampaignOrchestrator",
     "OrchestratorOptions",
     "OrchestratorOutcome",
     "Shard",
+    "ShardQueue",
     "default_shard_size",
     "pair_for_index",
     "plan_shards",

@@ -129,7 +129,8 @@ class CampaignJournal:
         campaign's fingerprint (:func:`repro.persist.open_manifest`).
         """
         state = JournalState()
-        if open_manifest(self.directory, self.fingerprint, resume=resume):
+        if open_manifest(self.directory, self.fingerprint,
+                         log_name=RUNS_NAME, resume=resume):
             state = load_runs_file(self.runs_path)
         self._log = JsonlLog(self.runs_path)
         return state

@@ -9,15 +9,18 @@ Every campaign of either injection tier runs through here; with
 ``jobs=1`` the whole matrix is one shard executed in-process by the same
 run loop (:func:`.worker.execute_shard_runs`) the workers use.
 
-Supervision contract:
+The shard lifecycle is :class:`.scheduler.ShardQueue`, the same one the
+service broker drives; this module is only its ``multiprocessing``
+transport — process launch, the result queue, the dead-worker grace
+period, journal writes and telemetry:
 
 * a worker that exits without its ``shard-done`` marker — crash, kill,
-  unpicklable explosion — or that exceeds the per-shard wall-clock
-  deadline is terminated and its shard retried with **only the runs
-  whose results never arrived**;
-* after ``max_retries`` retries the shard's remaining runs are recorded
-  as failed in the journal and the campaign *continues* — one bad shard
-  cannot abort 100k runs;
+  unpicklable explosion — or whose lease runs ``shard_deadline`` seconds
+  without a run message is terminated, and its shard retried with
+  **only the runs whose results never arrived**;
+* after ``max_attempts`` attempts the shard's remaining runs are
+  recorded as failed in the journal and the campaign *continues* — one
+  bad shard cannot abort 100k runs;
 * the merged :class:`CampaignResult` lists records in serial order, so
   any ``--jobs`` value yields bit-identical aggregated results.
 """
@@ -38,7 +41,10 @@ from ..swifi.campaign import CampaignResult, InputCase, RunRecord
 from ..swifi.campaign import execute_injection_run  # noqa: F401
 from ..swifi.spec import InjectionSpec
 from .journal import CampaignJournal, JournalState, campaign_fingerprint
-from .scheduler import Shard, plan_shards
+
+# The pool plans through this module's own ``plan_shards`` name, which
+# perfbench/ wraps to count shards.
+from .scheduler import Lease, ShardQueue, Voided, plan_shards
 from .telemetry import (
     NullSink,
     TelemetryAggregator,
@@ -96,9 +102,8 @@ class OrchestratorOptions:
     memo_dir: str | None = None             # planner: on-disk memo (JSONL)
     plan_verify: float = 0.0                # planner: re-execute sample
     shard_size: int | None = None
-    max_retries: int = 2
-    shard_deadline: float | None = None     # seconds per shard attempt
-    mp_start_method: str | None = None      # None → multiprocessing default
+    max_attempts: int = 3                   # per shard, then its runs fail
+    shard_deadline: float | None = None     # lease timeout: seconds without a run
     interrupt_after: int | None = None      # stop after N newly executed runs
     #: Supervision drill: shard_id → (crashing attempts, crash after N runs).
     crash_shards: dict[int, tuple[int, int]] = dataclass_field(default_factory=dict)
@@ -118,18 +123,12 @@ class OrchestratorOutcome:
 
 
 @dataclass
-class _ShardState:
-    shard: Shard
-    attempt: int = 1
-    remaining: set[int] = dataclass_field(default_factory=set)
-    process: multiprocessing.process.BaseProcess | None = None
-    started_at: float = 0.0
-    done: bool = False
-    dead_since: float | None = None
+class _Worker:
+    """The process running one lease's attempt."""
 
-    def __post_init__(self) -> None:
-        if not self.remaining:
-            self.remaining = set(self.shard.run_indices)
+    attempt: int
+    process: multiprocessing.process.BaseProcess
+    dead_since: float | None = None
 
 
 class CampaignOrchestrator:
@@ -299,13 +298,11 @@ class CampaignOrchestrator:
                 self.total_runs,
             )
 
-    def _task(
-        self, shard_id: int, attempt: int, indices: list[int], seed: int, **drills
-    ) -> ShardTask:
+    def _task(self, lease: Lease) -> ShardTask:
         return build_shard_task(
-            shard_id=shard_id,
-            attempt=attempt,
-            indices=indices,
+            shard_id=lease.shard_id,
+            attempt=lease.attempt,
+            indices=lease.indices,
             program=self.program,
             executable=self.executable,
             faults=self.faults,
@@ -313,7 +310,7 @@ class CampaignOrchestrator:
             budgets=self.budgets,
             num_cores=self.num_cores,
             quantum=self.quantum,
-            seed=seed,
+            seed=lease.seed,
             snapshot=self.options.snapshot,
             trace=self.options.trace,
             engine=self.options.engine,
@@ -322,7 +319,9 @@ class CampaignOrchestrator:
             memo_dir=self.options.memo_dir,
             plan_verify=self.options.plan_verify,
             mutation_base=self.mutation_base,
-            **drills,
+            # Drills act only in pool workers (shard_worker_main), never inline.
+            crash=self.options.crash_shards.get(lease.shard_id, (0, 0)),
+            stall=self.options.stall_shards.get(lease.shard_id, (0, 0.0)),
         )
 
     # -- inline (jobs=1) path ------------------------------------------
@@ -344,27 +343,11 @@ class CampaignOrchestrator:
         def emit(index: int, record: RunRecord, trace_payload: dict | None) -> None:
             self._accept(index, record, trace_payload, completed, journal, aggregator)
 
-        execute_shard_runs(self._task(0, 1, pending, self.options.seed), emit)
+        whole = Lease(shard_id=0, attempt=1, indices=tuple(pending),
+                      seed=self.options.seed)
+        execute_shard_runs(self._task(whole), emit)
 
     # -- parallel path --------------------------------------------------
-
-    def _make_task(self, state: _ShardState) -> ShardTask:
-        crash_attempts, crash_after = self.options.crash_shards.get(
-            state.shard.shard_id, (0, 0)
-        )
-        stall_attempts, stall_seconds = self.options.stall_shards.get(
-            state.shard.shard_id, (0, 0.0)
-        )
-        return self._task(
-            state.shard.shard_id,
-            state.attempt,
-            sorted(state.remaining),
-            state.shard.seed,
-            crash_after_runs=crash_after if crash_attempts else None,
-            crash_attempts=crash_attempts,
-            stall_seconds=stall_seconds,
-            stall_attempts=stall_attempts,
-        )
 
     def _run_pool(
         self,
@@ -374,75 +357,64 @@ class CampaignOrchestrator:
         journal: CampaignJournal | None,
         aggregator: TelemetryAggregator,
     ) -> None:
-        shards = plan_shards(
-            pending,
-            jobs=self.options.jobs,
-            campaign_seed=self.options.seed,
-            shard_size=self.options.shard_size,
+        deadline = self.options.shard_deadline
+        shards = ShardQueue(
+            plan_shards(
+                pending,
+                jobs=self.options.jobs,
+                campaign_seed=self.options.seed,
+                shard_size=self.options.shard_size,
+            ),
+            max_attempts=self.options.max_attempts,
+            lease_timeout=deadline,
         )
-        if not shards:
+        if shards.finished:
             return
-        context = multiprocessing.get_context(self.options.mp_start_method)
-        results = context.Queue()
-        waiting = [_ShardState(shard) for shard in shards]
-        active: dict[int, _ShardState] = {}
-        states = {state.shard.shard_id: state for state in waiting}
+        results = multiprocessing.Queue()
+        workers: dict[int, _Worker] = {}
 
-        def launch(state: _ShardState) -> None:
-            task = self._make_task(state)
-            process = context.Process(
+        def launch(lease: Lease) -> None:
+            process = multiprocessing.Process(
                 target=shard_worker_main,
-                args=(task, results),
-                name=f"repro-shard-{state.shard.shard_id}.{state.attempt}",
+                args=(self._task(lease), results),
+                name=f"repro-shard-{lease.shard_id}.{lease.attempt}",
                 daemon=True,
             )
-            state.process = process
-            state.started_at = time.monotonic()
-            state.dead_since = None
             process.start()
-            active[state.shard.shard_id] = state
+            workers[lease.shard_id] = _Worker(lease.attempt, process)
 
-        def finalize(state: _ShardState) -> None:
-            if state.process is not None:
-                state.process.join(timeout=5)
-                state.process = None
-            active.pop(state.shard.shard_id, None)
+        def stop(shard_id: int, *, kill: bool = False) -> None:
+            """Reap the process of the shard's lease, which just ended."""
+            process = workers.pop(shard_id).process
+            if kill and process.is_alive():
+                process.terminate()
+            process.join(timeout=5)
             if journal is not None:
                 journal.sync()
 
-        def retry_or_fail(state: _ShardState, reason: str) -> None:
-            finalize(state)
-            if not state.remaining:
-                state.done = True
-                return
-            if state.attempt > self.options.max_retries:
-                indices = sorted(state.remaining)
-                for index in indices:
-                    failed[index] = reason
+        def settle(voided: Voided | None, *, kill: bool = False) -> None:
+            if voided is None:
+                return  # a stale attempt: the live one carries on
+            stop(voided.shard_id, kill=kill)
+            if voided.requeued:
+                aggregator.record_retry()
+            if voided.failed:
+                for index in voided.failed:
+                    failed[index] = voided.reason
                 if journal is not None:
-                    journal.append_shard_failure(state.shard.shard_id, indices, reason)
-                aggregator.record_failures(len(indices))
-                state.done = True
+                    journal.append_shard_failure(
+                        voided.shard_id, list(voided.failed), voided.reason
+                    )
+                aggregator.record_failures(len(voided.failed))
                 self.telemetry.update(aggregator.snapshot())
-                return
-            state.attempt += 1
-            aggregator.record_retry()
-            waiting.append(state)
-
-        def terminate_all() -> None:
-            for state in list(active.values()):
-                if state.process is not None and state.process.is_alive():
-                    state.process.terminate()
-            for state in list(active.values()):
-                if state.process is not None:
-                    state.process.join(timeout=5)
-                    state.process = None
-            active.clear()
 
         try:
-            while waiting or active:
-                while waiting and len(active) < self.options.jobs:
-                    launch(waiting.pop(0))
+            while not shards.finished:
+                while len(workers) < self.options.jobs:
+                    lease = shards.lease()
+                    if lease is None:
+                        break
+                    launch(lease)
 
                 try:
                     message = results.get(timeout=POLL_INTERVAL)
@@ -450,55 +422,52 @@ class CampaignOrchestrator:
                     message = None
 
                 if message is not None:
-                    tag = message[0]
+                    tag, shard_id, attempt = message[:3]
                     if tag == MSG_RUN:
-                        _, shard_id, run_index, payload, trace_payload = message
-                        states[shard_id].remaining.discard(run_index)
-                        self._accept(
-                            run_index, RunRecord.from_dict(payload), trace_payload,
-                            completed, journal, aggregator,
-                        )
+                        _, _, _, run_index, payload, trace_payload = message
+                        shards.mark_done(run_index)
+                        shards.renew(shard_id, attempt)
+                        if run_index not in completed:
+                            self._accept(
+                                run_index, RunRecord.from_dict(payload),
+                                trace_payload, completed, journal, aggregator,
+                            )
                     elif tag == MSG_DONE:
-                        _, shard_id, _attempt = message
-                        state = states[shard_id]
-                        state.done = True
-                        finalize(state)
+                        if shards.complete(shard_id, attempt):
+                            stop(shard_id)
+                        else:
+                            settle(shards.void(
+                                shard_id, attempt,
+                                "worker finished without reporting every run",
+                            ))
                     elif tag == MSG_ERROR:
-                        _, shard_id, trace = message
-                        state = states[shard_id]
-                        retry_or_fail(state, f"worker exception:\n{trace}")
+                        settle(shards.void(
+                            shard_id, attempt, f"worker exception:\n{message[3]}"
+                        ))
                     continue  # drain the queue before health checks
 
+                for voided in shards.expire(lambda *_: (
+                    f"shard made no progress within its {deadline:.1f}s deadline"
+                )):
+                    settle(voided, kill=True)
                 now = time.monotonic()
-                for state in list(active.values()):
-                    if state.done:
+                for shard_id, worker in list(workers.items()):
+                    if worker.process.is_alive():
                         continue
-                    process = state.process
-                    deadline = self.options.shard_deadline
-                    if (
-                        deadline is not None
-                        and process is not None
-                        and process.is_alive()
-                        and now - state.started_at > deadline
-                    ):
-                        process.terminate()
-                        process.join(timeout=5)
-                        retry_or_fail(
-                            state,
-                            f"shard exceeded {deadline:.1f}s wall-clock deadline",
-                        )
-                        continue
-                    if process is not None and not process.is_alive():
-                        # Give flushed-but-unread messages time to arrive.
-                        if state.dead_since is None:
-                            state.dead_since = now
-                        elif now - state.dead_since > DEAD_WORKER_GRACE:
-                            code = process.exitcode
-                            retry_or_fail(
-                                state, f"worker died with exit code {code}"
-                            )
+                    # Give flushed-but-unread messages time to arrive.
+                    if worker.dead_since is None:
+                        worker.dead_since = now
+                    elif now - worker.dead_since > DEAD_WORKER_GRACE:
+                        settle(shards.void(
+                            shard_id, worker.attempt,
+                            f"worker died with exit code {worker.process.exitcode}",
+                        ))
         except BaseException:
-            terminate_all()
+            for worker in workers.values():
+                if worker.process.is_alive():
+                    worker.process.terminate()
+            for worker in workers.values():
+                worker.process.join(timeout=5)
             raise
         finally:
             results.close()

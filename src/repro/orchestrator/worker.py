@@ -10,9 +10,11 @@ it.
 
 Everything a worker needs rides in one picklable :class:`ShardTask`; the
 worker streams one message per completed run back through the result
-queue and finishes with a ``shard-done`` marker.  The supervisor treats
-a missing marker (dead process, exceeded deadline) as a shard failure
-and retries only the runs whose messages never arrived.
+queue and finishes with a ``shard-done`` marker; every message names the
+shard's attempt, so the supervisor can tell a killed attempt's late
+messages from the live one's.  The supervisor treats a missing marker
+(dead process, no progress within the deadline) as a shard failure and
+retries only the runs whose messages never arrived.
 
 The run loop itself — snapshot/planner/mutant cache setup, per-run
 execution for both injection tiers, trace capture — is
@@ -39,9 +41,9 @@ from ..swifi.campaign import InputCase, RunRecord, execute_injection_run
 from ..swifi.spec import TIER_SOURCE, InjectionSpec
 
 #: Message tags on the result queue.
-MSG_RUN = "run"          # (MSG_RUN, shard_id, run_index, record_dict, trace|None)
-MSG_DONE = "done"        # (MSG_DONE, shard_id, attempt)
-MSG_ERROR = "error"      # (MSG_ERROR, shard_id, traceback_text)
+MSG_RUN = "run"      # (MSG_RUN, shard_id, attempt, run_index, record_dict, trace|None)
+MSG_DONE = "done"    # (MSG_DONE, shard_id, attempt)
+MSG_ERROR = "error"  # (MSG_ERROR, shard_id, attempt, traceback_text)
 
 #: Exit code used by the crash-simulation hook (tests / supervision drills).
 CRASH_EXIT_CODE = 17
@@ -82,55 +84,34 @@ class ShardTask:
     # -- source tier (repro.srcfi); mutant cache built in-process --------
     mutation_base: CompiledProgram | None = None
     # -- supervision drill hooks (exercised by the test suite) ----------
-    crash_after_runs: int | None = None
-    crash_attempts: int = 0
-    stall_seconds: float = 0.0
-    stall_attempts: int = 0
+    crash: tuple[int, int] = (0, 0)      # (crashing attempts, after N runs)
+    stall: tuple[int, float] = (0, 0.0)  # (stalling attempts, seconds)
 
     def should_crash(self, sent: int) -> bool:
-        return (
-            self.crash_after_runs is not None
-            and self.attempt <= self.crash_attempts
-            and sent >= self.crash_after_runs
-        )
+        attempts, after = self.crash
+        return self.attempt <= attempts and sent >= after
 
     def should_stall(self) -> bool:
-        return self.stall_seconds > 0 and self.attempt <= self.stall_attempts
+        attempts, seconds = self.stall
+        return seconds > 0 and self.attempt <= attempts
 
 
 def build_shard_task(
     *,
-    shard_id: int,
-    attempt: int,
     indices: Sequence[int],
-    program: str,
-    executable: Executable,
     faults: Sequence[InjectionSpec],
     cases: Sequence[InputCase],
     budgets: dict[str, int],
-    num_cores: int,
-    quantum: int,
-    seed: int,
-    snapshot: str = "off",
-    trace: bool = False,
-    engine: str = "simple",
-    prune: bool = False,
-    memoize: bool = False,
-    memo_dir: str | None = None,
-    plan_verify: float = 0.0,
-    mutation_base: CompiledProgram | None = None,
-    crash_after_runs: int | None = None,
-    crash_attempts: int = 0,
-    stall_seconds: float = 0.0,
-    stall_attempts: int = 0,
+    **fields,
 ) -> ShardTask:
     """Compact one shard of run *indices* into a self-contained task.
 
-    *faults*/*cases* are the full campaign matrix; the task ships only
-    the specs this shard references, with ``runs`` mapping each serial
-    run index to positions in the compacted tuples.  Shared by the
-    ``multiprocessing`` supervisor and the service broker so a shard is
-    built identically wherever it executes.
+    *faults*/*cases*/*budgets* are the full campaign matrix; the task
+    ships only the specs this shard references, with ``runs`` mapping
+    each serial run index to positions in the compacted tuples.  Every
+    other :class:`ShardTask` field passes through *fields*.  Shared by
+    the ``multiprocessing`` supervisor and the service broker so a shard
+    is built identically wherever it executes.
     """
     from .scheduler import pair_for_index
 
@@ -149,29 +130,11 @@ def build_shard_task(
             task_cases.append(cases[case_index])
         runs.append((index, fault_positions[fault_index], case_positions[case_index]))
     return ShardTask(
-        shard_id=shard_id,
-        attempt=attempt,
-        program=program,
-        executable=executable,
-        num_cores=num_cores,
-        quantum=quantum,
         budgets={case.case_id: budgets[case.case_id] for case in task_cases},
         faults=tuple(task_faults),
         cases=tuple(task_cases),
         runs=tuple(runs),
-        seed=seed,
-        snapshot=snapshot,
-        trace=trace,
-        engine=engine,
-        prune=prune,
-        memoize=memoize,
-        memo_dir=memo_dir,
-        plan_verify=plan_verify,
-        mutation_base=mutation_base,
-        crash_after_runs=crash_after_runs,
-        crash_attempts=crash_attempts,
-        stall_seconds=stall_seconds,
-        stall_attempts=stall_attempts,
+        **fields,
     )
 
 
@@ -273,18 +236,20 @@ def shard_worker_main(task: ShardTask, queue) -> None:
 
     def emit(run_index: int, record: RunRecord, payload: dict | None) -> None:
         nonlocal sent
-        queue.put((MSG_RUN, task.shard_id, run_index, record.to_dict(), payload))
+        queue.put(
+            (MSG_RUN, task.shard_id, task.attempt, run_index, record.to_dict(), payload)
+        )
         sent += 1
         if task.should_crash(sent):
             _die_abruptly(queue)
 
     try:
         if task.should_stall():
-            time.sleep(task.stall_seconds)  # a "hung" worker for the deadline drill
+            time.sleep(task.stall[1])  # a "hung" worker for the deadline drill
         execute_shard_runs(task, emit)
         queue.put((MSG_DONE, task.shard_id, task.attempt))
     except BaseException:
-        queue.put((MSG_ERROR, task.shard_id, traceback.format_exc()))
+        queue.put((MSG_ERROR, task.shard_id, task.attempt, traceback.format_exc()))
         _drain_and_exit(queue, 1)
         return
     _drain_and_exit(queue, 0)

@@ -149,18 +149,27 @@ class JsonlLog:
         self.close()
 
 
-def open_manifest(directory: str, fingerprint: dict, *, resume: bool) -> bool:
+def open_manifest(
+    directory: str, fingerprint: dict, *, log_name: str, resume: bool
+) -> bool:
     """Pin *directory* to *fingerprint*; True when continuing an old log.
 
     A directory without a manifest is fresh: the manifest is written
-    (atomically) and the caller starts an empty log.  An existing one is
-    only continued when *resume* is set — silently mixing two runs'
-    entries would be worse than an error — and only when its manifest
-    matches *fingerprint*.
+    (atomically) and the caller starts an empty log named *log_name*.  A
+    non-empty log without a manifest belongs to no known campaign, so it
+    is refused rather than appended to.  An existing manifest is only
+    continued when *resume* is set — silently mixing two runs' entries
+    would be worse than an error — and only when it matches *fingerprint*.
     """
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(path):
+        log_path = os.path.join(directory, log_name)
+        if os.path.exists(log_path) and os.path.getsize(log_path) > 0:
+            raise JournalError(
+                f"journal {directory!r} holds {log_name} but no {MANIFEST_NAME}; "
+                "refusing to append to a log of unknown origin"
+            )
         atomic_write_json(path, fingerprint)
         return False
     if not resume:

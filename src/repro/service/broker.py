@@ -36,7 +36,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .protocol import API_PREFIX, WIRE_VERSION, ProtocolError
-from .state import BrokerState, ServiceError
+from .state import DEFAULT_MAX_ATTEMPTS, BrokerState, ServiceError
 
 
 class BrokerHTTPServer(ThreadingHTTPServer):
@@ -233,8 +233,6 @@ def run_broker(
     http://host:port`` and, when *port_file* is given, written there for
     scripts to pick up.
     """
-    from .state import DEFAULT_MAX_ATTEMPTS
-
     state = BrokerState(
         state_dir,
         lease_timeout=lease_timeout,

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 import socket
-import time
 import urllib.error
 import urllib.request
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .protocol import API_PREFIX, WIRE_VERSION, ProtocolError
 
@@ -159,22 +158,3 @@ class BrokerClient:
 
     def shutdown(self) -> dict:
         return self._request("/shutdown", {})
-
-    # -- resilience helpers -------------------------------------------
-
-    def wait_until_reachable(
-        self,
-        deadline_seconds: float,
-        *,
-        poll: float = 0.2,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> dict:
-        """Ping until the broker answers, or raise after the deadline."""
-        deadline = clock() + deadline_seconds
-        while True:
-            try:
-                return self.ping()
-            except BrokerUnavailable:
-                if clock() >= deadline:
-                    raise
-                time.sleep(poll)

@@ -32,7 +32,7 @@ import base64
 import hashlib
 import json
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from ..machine.loader import Executable
 from ..swifi.campaign import InputCase
@@ -124,7 +124,8 @@ class CampaignOptions:
 
     The subset of :class:`repro.orchestrator.OrchestratorOptions` that
     makes sense across host boundaries — per-host knobs (memo
-    directories, drill hooks) stay host-local.
+    directories, drill hooks) stay host-local.  Unknown keys are ignored,
+    so options written by older brokers still load.
     """
 
     seed: int = 0
@@ -133,23 +134,9 @@ class CampaignOptions:
     snapshot: str = "off"
     trace: bool = False
     label: str | None = None
-    max_attempts: int | None = None
-    workers_hint: int = 4
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "wire_version": WIRE_VERSION,
-            "seed": self.seed,
-            "shard_size": self.shard_size,
-            "engine": self.engine,
-            "snapshot": self.snapshot,
-            "trace": self.trace,
-            "label": self.label,
-            "max_attempts": self.max_attempts,
-            "workers_hint": self.workers_hint,
-            "extra": dict(self.extra),
-        }
+        return {"wire_version": WIRE_VERSION, **asdict(self)}
 
     @staticmethod
     def from_dict(payload: dict) -> "CampaignOptions":
@@ -165,7 +152,4 @@ class CampaignOptions:
             snapshot=str(payload.get("snapshot", "off")),
             trace=bool(payload.get("trace", False)),
             label=payload.get("label"),
-            max_attempts=payload.get("max_attempts"),
-            workers_hint=int(payload.get("workers_hint", 4)),
-            extra=dict(payload.get("extra", {})),
         )

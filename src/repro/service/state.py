@@ -17,7 +17,8 @@ recomputing the set of done run indices, and re-sharding whatever is
 missing; every in-flight lease is implicitly void, which at-least-once
 segment intake makes harmless.
 
-Shard lifecycle::
+The shard lifecycle is :class:`repro.orchestrator.scheduler.ShardQueue`,
+the same one the local pool drives; the broker is its HTTP transport::
 
     pending --lease--> leased --report(complete)--> done
        ^                  |
@@ -33,14 +34,14 @@ are deterministic and the merge deduplicates — but the worker is told
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from ..orchestrator.journal import MANIFEST_NAME, RUNS_NAME
-from ..orchestrator.scheduler import plan_shards
+from ..orchestrator.scheduler import ShardQueue, Voided, plan_shards
 from ..orchestrator.worker import build_shard_task
 from ..persist import JsonlLog, atomic_write_json, atomic_write_text
 from .merge import merge_segment_files, write_canonical_journal
@@ -61,10 +62,14 @@ SEGMENTS_DIR = "segments"
 JOURNAL_DIR = "journal"
 
 #: Attempts per shard before its remaining runs are abandoned as failed.
-#: Far above the pool's max_retries=2: the service's failure mode is
+#: Far above the pool's default of 3: the service's failure mode is
 #: whole hosts dying under it, and a re-queued shard costs only the
 #: runs that were never reported.
 DEFAULT_MAX_ATTEMPTS = 16
+
+#: Shards are sized as if this many workers shared a campaign.  Records
+#: do not depend on the partition, so the real fleet size need not match.
+PLANNED_WORKERS = 4
 
 CAMPAIGN_RUNNING = "running"
 CAMPAIGN_COMPLETE = "complete"
@@ -76,22 +81,6 @@ class ServiceError(RuntimeError):
 
 
 @dataclass
-class _Lease:
-    worker_id: str
-    attempt: int
-    expires_at: float
-
-
-@dataclass
-class _ShardRec:
-    shard_id: int
-    indices: tuple[int, ...]
-    seed: int
-    attempt: int = 0
-    lease: _Lease | None = None
-
-
-@dataclass
 class _CampaignState:
     campaign_id: str
     directory: str
@@ -100,10 +89,8 @@ class _CampaignState:
     bundle: CampaignBundle
     state: str = CAMPAIGN_RUNNING
     done: set[int] = field(default_factory=set)
-    traced: set[int] = field(default_factory=set)
     failed: dict[int, str] = field(default_factory=dict)
-    shards: dict[int, _ShardRec] = field(default_factory=dict)
-    queue: deque = field(default_factory=deque)
+    queue: ShardQueue | None = None
     leases_granted: int = 0
     lease_expiries: int = 0
     stale_reports: int = 0
@@ -188,29 +175,36 @@ class BrokerState:
             if not (os.path.exists(manifest) and os.path.exists(options_path)
                     and os.path.exists(bundle_path)):
                 continue  # torn submission: atomic writes never got that far
-            import json
-
             with open(manifest, "r", encoding="utf-8") as handle:
                 fingerprint = json.load(handle)
             with open(options_path, "r", encoding="utf-8") as handle:
                 options = CampaignOptions.from_dict(json.load(handle))
             with open(bundle_path, "r", encoding="utf-8") as handle:
                 bundle = CampaignBundle.from_blob(handle.read())
-            campaign = _CampaignState(
-                campaign_id=campaign_id,
-                directory=directory,
-                fingerprint=fingerprint,
-                options=options,
-                bundle=bundle,
-            )
-            records, traces = merge_segment_files(
-                campaign.segment_paths(), total_runs=campaign.total_runs
-            )
-            campaign.done = set(records)
-            campaign.traced = set(traces)
-            self.campaigns[campaign_id] = campaign
-            self._plan_missing(campaign)
-            self._maybe_finish(campaign)
+            self._add_campaign(_CampaignState(
+                campaign_id, directory, fingerprint, options, bundle
+            ))
+
+    def _add_campaign(self, campaign: _CampaignState) -> _CampaignState:
+        """Register *campaign*, queueing every run its segments lack."""
+        records, _ = merge_segment_files(
+            campaign.segment_paths(), total_runs=campaign.total_runs
+        )
+        campaign.done = set(records)
+        campaign.queue = ShardQueue(
+            plan_shards(
+                (i for i in range(campaign.total_runs) if i not in campaign.done),
+                jobs=PLANNED_WORKERS,
+                campaign_seed=campaign.options.seed,
+                shard_size=campaign.options.shard_size,
+            ),
+            max_attempts=self.max_attempts,
+            lease_timeout=self.lease_timeout,
+            clock=self.clock,
+        )
+        self.campaigns[campaign.campaign_id] = campaign
+        self._maybe_finish(campaign)  # zero-run campaigns complete at once
+        return campaign
 
     # -- submission ----------------------------------------------------
 
@@ -238,16 +232,9 @@ class BrokerState:
             atomic_write_json(os.path.join(directory, OPTIONS_NAME),
                               parsed_options.to_dict())
             atomic_write_json(os.path.join(directory, MANIFEST_NAME), fingerprint)
-            campaign = _CampaignState(
-                campaign_id=campaign_id,
-                directory=directory,
-                fingerprint=fingerprint,
-                options=parsed_options,
-                bundle=bundle,
-            )
-            self.campaigns[campaign_id] = campaign
-            self._plan_missing(campaign)
-            self._maybe_finish(campaign)  # zero-run campaigns complete at once
+            campaign = self._add_campaign(_CampaignState(
+                campaign_id, directory, fingerprint, parsed_options, bundle
+            ))
             self._bump()
             return self._submission_reply(campaign, resumed=False)
 
@@ -262,108 +249,61 @@ class BrokerState:
             "state": campaign.state,
         }
 
-    def _plan_missing(self, campaign: _CampaignState) -> None:
-        """(Re-)shard every run index not yet covered by segments."""
-        missing = [
-            index for index in range(campaign.total_runs)
-            if index not in campaign.done and index not in campaign.failed
-        ]
-        campaign.shards.clear()
-        campaign.queue.clear()
-        for shard in plan_shards(
-            missing,
-            jobs=campaign.options.workers_hint,
-            campaign_seed=campaign.options.seed,
-            shard_size=campaign.options.shard_size,
-        ):
-            rec = _ShardRec(
-                shard_id=shard.shard_id,
-                indices=shard.run_indices,
-                seed=shard.seed,
-            )
-            campaign.shards[rec.shard_id] = rec
-            campaign.queue.append(rec.shard_id)
-
     # -- lease / steal -------------------------------------------------
 
-    def _campaign_max_attempts(self, campaign: _CampaignState) -> int:
-        return campaign.options.max_attempts or self.max_attempts
+    @staticmethod
+    def _abandoned(shard_id: int, attempt: int) -> str:
+        return f"shard {shard_id} abandoned after {attempt} expired leases"
 
-    def _expire_leases(self, now: float) -> None:
+    @staticmethod
+    def _settle(campaign: _CampaignState, voided: Voided | None) -> None:
+        if voided is not None:
+            for index in voided.failed:
+                campaign.failed[index] = voided.reason
+
+    def _sweep_expired(self) -> None:
         for campaign in self.campaigns.values():
-            for rec in list(campaign.shards.values()):
-                if rec.lease is None or rec.lease.expires_at > now:
-                    continue
+            for voided in campaign.queue.expire(self._abandoned):
                 campaign.lease_expiries += 1
-                rec.lease = None
-                self._requeue(campaign, rec)
+                self._settle(campaign, voided)
             self._maybe_finish(campaign)
-
-    def _requeue(self, campaign: _CampaignState, rec: _ShardRec) -> None:
-        """Return a shard to the queue with only its unreported runs."""
-        remaining = tuple(
-            index for index in rec.indices if index not in campaign.done
-        )
-        if not remaining:
-            campaign.shards.pop(rec.shard_id, None)
-            return
-        if rec.attempt >= self._campaign_max_attempts(campaign):
-            reason = (
-                f"shard {rec.shard_id} abandoned after "
-                f"{rec.attempt} expired leases"
-            )
-            for index in remaining:
-                campaign.failed[index] = reason
-            campaign.shards.pop(rec.shard_id, None)
-            return
-        rec.indices = remaining
-        campaign.queue.append(rec.shard_id)
 
     def lease(self, worker_id: str) -> dict:
         """Hand the next pending shard to *worker_id*, or report idle."""
-        now = self.clock()
         with self._lock:
-            self.workers_seen[worker_id] = now
-            self._expire_leases(now)
+            self.workers_seen[worker_id] = self.clock()
+            self._sweep_expired()
             for campaign in self.campaigns.values():
-                while campaign.queue:
-                    shard_id = campaign.queue.popleft()
-                    rec = campaign.shards.get(shard_id)
-                    if rec is None or rec.lease is not None:
-                        continue  # stale queue entry
-                    rec.attempt += 1
-                    rec.lease = _Lease(
-                        worker_id=worker_id,
-                        attempt=rec.attempt,
-                        expires_at=now + self.lease_timeout,
-                    )
-                    campaign.leases_granted += 1
-                    task = build_shard_task(
-                        shard_id=rec.shard_id,
-                        attempt=rec.attempt,
-                        indices=rec.indices,
-                        program=campaign.bundle.program,
-                        executable=campaign.bundle.executable,
-                        faults=campaign.bundle.faults,
-                        cases=campaign.bundle.cases,
-                        budgets=campaign.bundle.budgets,
-                        num_cores=campaign.bundle.num_cores,
-                        quantum=campaign.bundle.quantum,
-                        seed=rec.seed,
-                        snapshot=campaign.options.snapshot,
-                        trace=campaign.options.trace,
-                        engine=campaign.options.engine,
-                    )
-                    self._bump()
-                    return {
-                        "status": STATUS_LEASE,
-                        "campaign_id": campaign.campaign_id,
-                        "shard_id": rec.shard_id,
-                        "attempt": rec.attempt,
-                        "lease_seconds": self.lease_timeout,
-                        "run_count": len(rec.indices),
-                        "task": encode_blob(task),
-                    }
+                lease = campaign.queue.lease(worker_id)
+                if lease is None:
+                    continue
+                campaign.leases_granted += 1
+                task = build_shard_task(
+                    shard_id=lease.shard_id,
+                    attempt=lease.attempt,
+                    indices=lease.indices,
+                    program=campaign.bundle.program,
+                    executable=campaign.bundle.executable,
+                    faults=campaign.bundle.faults,
+                    cases=campaign.bundle.cases,
+                    budgets=campaign.bundle.budgets,
+                    num_cores=campaign.bundle.num_cores,
+                    quantum=campaign.bundle.quantum,
+                    seed=lease.seed,
+                    snapshot=campaign.options.snapshot,
+                    trace=campaign.options.trace,
+                    engine=campaign.options.engine,
+                )
+                self._bump()
+                return {
+                    "status": STATUS_LEASE,
+                    "campaign_id": campaign.campaign_id,
+                    "shard_id": lease.shard_id,
+                    "attempt": lease.attempt,
+                    "lease_seconds": self.lease_timeout,
+                    "run_count": len(lease.indices),
+                    "task": encode_blob(task),
+                }
             return {"status": "idle"}
 
     # -- segment intake ------------------------------------------------
@@ -386,10 +326,9 @@ class BrokerState:
         would only force a pointless re-execution.  Only the lease
         renewal and the ``complete`` transition require a current lease.
         """
-        now = self.clock()
         with self._lock:
-            self.workers_seen[worker_id] = now
-            self._expire_leases(now)
+            self.workers_seen[worker_id] = self.clock()
+            self._sweep_expired()
             campaign = self.campaigns.get(campaign_id)
             if campaign is None:
                 raise ServiceError(f"unknown campaign {campaign_id!r}")
@@ -397,25 +336,16 @@ class BrokerState:
             if entries:
                 self._append_segment(campaign, worker_id, shard_id,
                                      attempt, entries)
-            rec = campaign.shards.get(shard_id)
-            valid = (
-                rec is not None
-                and rec.lease is not None
-                and rec.lease.worker_id == worker_id
-                and rec.lease.attempt == attempt
-            )
-            if valid:
-                rec.lease.expires_at = now + self.lease_timeout
-                if complete:
-                    remaining = [i for i in rec.indices if i not in campaign.done]
-                    if remaining:
-                        # "complete" without the results is a worker bug;
-                        # treat it as a died worker and re-queue.
-                        rec.lease = None
-                        self._requeue(campaign, rec)
-                    else:
-                        campaign.shards.pop(shard_id, None)
-            else:
+            queue = campaign.queue
+            valid = queue.renew(shard_id, attempt, worker_id)
+            if valid and complete and not queue.complete(shard_id, attempt, worker_id):
+                # "complete" without the results is a worker bug; treat
+                # it as a died worker and re-queue.
+                self._settle(campaign, queue.void(
+                    shard_id, attempt, self._abandoned(shard_id, attempt),
+                    worker_id,
+                ))
+            if not valid:
                 campaign.stale_reports += 1
             self._maybe_finish(campaign)
             self._bump()
@@ -452,10 +382,9 @@ class BrokerState:
                         f"{campaign.campaign_id}"
                     )
                 campaign.done.add(index)
+                campaign.queue.mark_done(index)
                 campaign.failed.pop(index, None)
-            elif kind == "trace":
-                campaign.traced.add(int(entry["index"]))
-            else:
+            elif kind != "trace":
                 raise ServiceError(f"unknown report entry type {kind!r}")
         with JsonlLog(path) as segment:  # fsynced once, on close
             for entry in entries:
@@ -507,7 +436,7 @@ class BrokerState:
         """One JSON-safe view of broker (or single-campaign) progress."""
         now = self.clock()
         with self._lock:
-            self._expire_leases(now)
+            self._sweep_expired()
             if campaign_id is not None:
                 campaign = self.campaigns.get(campaign_id)
                 if campaign is None:
@@ -527,9 +456,6 @@ class BrokerState:
             }
 
     def _campaign_snapshot(self, campaign: _CampaignState) -> dict:
-        leased = sum(
-            1 for rec in campaign.shards.values() if rec.lease is not None
-        )
         return {
             "campaign_id": campaign.campaign_id,
             "label": campaign.label,
@@ -537,8 +463,8 @@ class BrokerState:
             "total_runs": campaign.total_runs,
             "completed_runs": len(campaign.done),
             "failed_runs": len(set(campaign.failed) - campaign.done),
-            "shards_pending": len(campaign.queue),
-            "shards_leased": leased,
+            "shards_pending": campaign.queue.pending,
+            "shards_leased": campaign.queue.leased,
             "leases_granted": campaign.leases_granted,
             "lease_expiries": campaign.lease_expiries,
             "stale_reports": campaign.stale_reports,

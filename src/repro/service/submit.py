@@ -50,8 +50,6 @@ def build_submissions(
     engine: str = "simple",
     snapshot: str = "off",
     trace: bool = False,
-    max_attempts: int | None = None,
-    workers_hint: int = 4,
 ) -> list[Submission]:
     """Build the §6 campaigns as service submissions (machine tier)."""
     config = config or ExperimentConfig()
@@ -77,8 +75,6 @@ def build_submissions(
                 snapshot=snapshot,
                 trace=trace,
                 label=spec.label,
-                max_attempts=max_attempts,
-                workers_hint=workers_hint,
             ),
             bundle=CampaignBundle(
                 program=runner.compiled.name,

@@ -126,6 +126,26 @@ class TestTraceCommand:
             assert json.load(handle)["traceEvents"]
 
 
+class TestJournalRefusal:
+    def test_resume_under_another_seed_is_one_error_line(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        journal = str(tmp_path / "journal")
+        command = [sys.executable, "-m", "repro", "figures", "--scale", "0.05",
+                   "--programs", "JB.team11", "--journal-dir", journal]
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+        subprocess.run(command, env=env, check=True, capture_output=True)
+        refused = subprocess.run(command + ["--resume", "--seed", "1"],
+                                 env=env, capture_output=True, text=True)
+        assert refused.returncode == 1
+        assert refused.stderr.startswith("error:")
+        assert "different campaign" in refused.stderr
+        assert "Traceback" not in refused.stderr
+
+
 class TestFiguresChoiceValidation:
     def test_bad_engine_exits_2_naming_choices(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -80,6 +80,122 @@ class TestScheduler:
         assert 1 <= default_shard_size(10_000, 4) <= MAX_SHARD_SIZE
 
 
+class FakeClock:
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+
+def make_queue(indices=range(6), *, shard_size=3, max_attempts=2,
+               lease_timeout=10.0):
+    from repro.orchestrator.scheduler import ShardQueue, plan_shards
+
+    clock = FakeClock()
+    queue = ShardQueue(
+        plan_shards(indices, jobs=1, campaign_seed=0, shard_size=shard_size),
+        max_attempts=max_attempts, lease_timeout=lease_timeout, clock=clock,
+    )
+    return queue, clock
+
+
+class TestShardQueue:
+    def test_leases_every_planned_shard_once(self):
+        queue, _ = make_queue()
+        first, second = queue.lease(), queue.lease()
+        assert (first.shard_id, first.attempt, first.indices) == (0, 1, (0, 1, 2))
+        assert (second.shard_id, second.indices) == (1, (3, 4, 5))
+        assert queue.lease() is None
+        assert (queue.pending, queue.leased) == (0, 2)
+
+    def test_complete_needs_every_run_reported(self):
+        queue, _ = make_queue(range(3))
+        lease = queue.lease()
+        queue.mark_done(0)
+        assert not queue.complete(lease.shard_id, lease.attempt)
+        for index in (1, 2):
+            queue.mark_done(index)
+        assert queue.complete(lease.shard_id, lease.attempt)
+        assert queue.finished
+
+    def test_void_requeues_only_unreported_runs(self):
+        queue, _ = make_queue(range(3))
+        lease = queue.lease()
+        queue.mark_done(1)
+        voided = queue.void(lease.shard_id, lease.attempt, "worker died")
+        assert (voided.requeued, voided.failed) == ((0, 2), ())
+        retry = queue.lease()
+        assert (retry.shard_id, retry.attempt, retry.indices) == (0, 2, (0, 2))
+        assert retry.seed == lease.seed
+
+    def test_stale_attempt_cannot_complete_renew_or_void(self):
+        queue, _ = make_queue(range(3))
+        old = queue.lease()
+        queue.void(old.shard_id, old.attempt, "killed")
+        live = queue.lease()
+        for index in old.indices:
+            queue.mark_done(index)  # a killed attempt's late runs still count
+        assert not queue.renew(old.shard_id, old.attempt)
+        assert not queue.complete(old.shard_id, old.attempt)
+        assert queue.void(old.shard_id, old.attempt, "late error") is None
+        assert queue.leased == 1
+        assert queue.complete(live.shard_id, live.attempt)
+        assert queue.finished
+
+    def test_holder_must_match(self):
+        queue, _ = make_queue(range(3))
+        lease = queue.lease("w1")
+        assert not queue.renew(lease.shard_id, lease.attempt, "w2")
+        assert queue.void(lease.shard_id, lease.attempt, "x", "w2") is None
+        assert queue.renew(lease.shard_id, lease.attempt, "w1")
+
+    def test_abandons_at_max_attempts_with_the_reason(self):
+        queue, _ = make_queue(range(3), max_attempts=2)
+        lease = queue.lease()
+        queue.void(lease.shard_id, lease.attempt, "first")
+        lease = queue.lease()
+        queue.mark_done(0)
+        voided = queue.void(lease.shard_id, lease.attempt, "worker died")
+        assert (voided.requeued, voided.failed) == ((), (1, 2))
+        assert voided.reason == "worker died"
+        assert queue.finished and queue.lease() is None
+
+    def test_void_with_every_run_reported_just_closes(self):
+        queue, _ = make_queue(range(3), max_attempts=1)
+        lease = queue.lease()
+        for index in lease.indices:
+            queue.mark_done(index)
+        voided = queue.void(lease.shard_id, lease.attempt, "died after")
+        assert (voided.requeued, voided.failed) == ((), ())
+        assert queue.finished
+
+    def test_expiry_measures_from_the_last_renewal(self):
+        queue, clock = make_queue(range(3), lease_timeout=10.0)
+        lease = queue.lease()
+        for _ in range(5):
+            clock.now += 8.0
+            assert queue.expire(lambda *_: "expired") == []
+            assert queue.renew(lease.shard_id, lease.attempt)
+        clock.now += 10.0
+        [voided] = queue.expire(lambda shard, attempt: f"{shard}/{attempt} expired")
+        assert voided.requeued == (0, 1, 2) and voided.reason == "0/1 expired"
+        assert queue.lease().attempt == 2
+
+    def test_no_timeout_never_expires(self):
+        queue, clock = make_queue(range(3), lease_timeout=None)
+        queue.lease()
+        clock.now += 1e9
+        assert queue.expire(lambda *_: "expired") == []
+        assert queue.leased == 1
+
+    def test_rejects_bad_limits(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            make_queue(max_attempts=0)
+        with pytest.raises(ValueError, match="lease_timeout"):
+            make_queue(lease_timeout=0)
+
+
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         path = str(tmp_path / "out.json")

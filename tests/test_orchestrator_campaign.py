@@ -189,7 +189,7 @@ class TestSupervision:
         journal_dir = str(tmp_path / "journal")
         outcome = orchestrate(
             runner, faults,
-            jobs=2, seed=11, shard_size=3, max_retries=1,
+            jobs=2, seed=11, shard_size=3, max_attempts=2,
             journal_dir=journal_dir,
             crash_shards={0: (99, 1)},  # dies on every attempt after 1 run
         )
@@ -229,13 +229,45 @@ class TestSupervision:
         runner, faults, serial = campaign
         outcome = orchestrate(
             runner, faults,
-            jobs=2, seed=11, shard_size=3, max_retries=0,
+            jobs=2, seed=11, shard_size=3, max_attempts=1,
             shard_deadline=0.5,
             stall_shards={0: (99, 30.0)},  # hangs on every attempt
         )
         assert len(outcome.failed_runs) == 3
         assert all("deadline" in reason for reason in outcome.failed_runs.values())
         assert outcome.result.total_runs == len(serial.records) - 3
+
+
+    def test_deadline_is_per_run_progress_not_per_shard(self, campaign, monkeypatch):
+        """Each run renews the shard's lease: a shard whose runs together
+        outlast ``shard_deadline`` is not killed while every run lands in
+        time."""
+        import multiprocessing
+        import time
+
+        import repro.orchestrator.worker as worker
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("slowed runs reach the workers only through fork")
+        runner, faults, serial = campaign
+        execute = worker.execute_injection_run
+
+        def slow_run(*args, **kwargs):
+            time.sleep(0.4)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(worker, "execute_injection_run", slow_run)
+        started = time.monotonic()
+        outcome = orchestrate(
+            runner, faults[:4],
+            jobs=2, seed=11, shard_size=4, max_attempts=1,
+            shard_deadline=1.0,
+        )
+        # Two shards of four 0.4 s runs each: 1.6 s per shard.
+        assert time.monotonic() - started > 1.6
+        assert outcome.failed_runs == {}
+        assert outcome.snapshot.retries == 0
+        assert outcome.result.records == serial.records[:8]
 
 
 class TestSection6Parallel:

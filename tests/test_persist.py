@@ -289,6 +289,39 @@ class TestSrcfiCompareJournalRepair:
             run_srcfi_compare(config, resume=True, **options)
 
 
+class TestManifestlessLog:
+    """A non-empty log beside no manifest is of unknown origin: refused."""
+
+    def test_campaign_journal_refuses_a_stray_runs_log(self, tmp_path):
+        from repro.orchestrator.journal import RUNS_NAME, CampaignJournal
+
+        (tmp_path / RUNS_NAME).write_text('{"type": "run", "index": 0}\n')
+        with pytest.raises(JournalError, match="no manifest.json"):
+            CampaignJournal(str(tmp_path), {"seed": 0}).open(resume=True)
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_empty_log_is_a_fresh_journal(self, tmp_path):
+        from repro.orchestrator.journal import RUNS_NAME, CampaignJournal
+
+        (tmp_path / RUNS_NAME).write_text("")
+        journal = CampaignJournal(str(tmp_path), {"seed": 0})
+        assert journal.open(resume=False).records == {}
+        journal.close()
+
+    def test_pre_manifest_pairs_log_is_refused(self, tmp_path):
+        from repro.experiments import ExperimentConfig, run_srcfi_compare
+
+        options = dict(programs=["JB.team6"], max_sites=1, include_real=False,
+                       journal_dir=str(tmp_path / "pairs"))
+        run_srcfi_compare(ExperimentConfig().tiny(), **options)
+        os.remove(tmp_path / "pairs" / "manifest.json")
+        journal = tmp_path / "pairs" / "pairs.jsonl"
+        before = journal.read_bytes()
+        with pytest.raises(JournalError, match="no manifest.json"):
+            run_srcfi_compare(ExperimentConfig().tiny(), resume=True, **options)
+        assert journal.read_bytes() == before
+
+
 class TestSrcfiCompareManifest:
     """``pairs.jsonl`` is pinned to the inputs that decide a pair's outcome."""
 

@@ -206,7 +206,7 @@ class TestProtocol:
 
     def test_options_roundtrip(self):
         options = CampaignOptions(seed=7, shard_size=3, engine="block",
-                                  trace=True, label="x", workers_hint=2)
+                                  trace=True, label="x")
         assert CampaignOptions.from_dict(options.to_dict()) == options
 
     def test_options_reject_wire_version_mismatch(self):
